@@ -13,7 +13,7 @@
 
 #include "bench_common.hpp"
 
-#include "pfc/app/distributed.hpp"
+#include "pfc/app/simulation.hpp"
 #include "pfc/perf/gpu_model.hpp"
 #include "pfc/perf/netmodel.hpp"
 #include "pfc/support/timer.hpp"

@@ -23,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "pfc/app/distributed.hpp"
+#include "pfc/app/simulation.hpp"
 #include "pfc/app/jobspec.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/support/argparse.hpp"

@@ -18,6 +18,28 @@
 
 namespace pfc::app {
 
+/// Explicit time integrator. Heun (RK2) reuses the generated Euler-update
+/// kernels: predictor step, corrector step, then averaging — the paper's
+/// "further temporal discretization options" extension, realized purely at
+/// the driver level.
+enum class TimeScheme { Euler, Heun };
+
+/// How kernel launches split the outer loop across the pool.
+enum class Dispatch {
+  /// parallel_for chunks re-enqueued per launch (the seed behaviour).
+  Dynamic,
+  /// Static slab ownership: worker w runs the same rows for every launch
+  /// of every step — the rows first-touch placed on w's NUMA node.
+  Static,
+};
+
+/// Temporal-blocking (wavefront) schedule of the fused φ/µ substep.
+enum class BlockingMode {
+  Off,   ///< reference order: φ sweep, fill, µ sweep, fill
+  Auto,  ///< fuse with perf::blocking_plan-sized tiles when profitable
+  Fixed, ///< fuse with a caller-chosen tile height (blocking_tile_rows)
+};
+
 struct DomainOptions {
   /// Interior cells. For distributed runs this is the *global* domain; the
   /// block forest decomposes it.
@@ -33,35 +55,44 @@ struct DomainOptions {
   perf::MachineModel machine = perf::default_machine();
   /// Checkpoint/restart and health-driven recovery; off by default.
   resilience::ResilienceOptions resilience;
+};
 
-  DomainOptions& with_cells(long long nx, long long ny, long long nz = 1) {
+/// DomainOptions plus its named setters, each returning the driver's own
+/// options type (CRTP) so a fluent chain keeps the driver-specific setters
+/// in reach.
+template <class Derived>
+struct DomainSetters : DomainOptions {
+  Derived& with_cells(long long nx, long long ny, long long nz = 1) {
     cells = {nx, ny, nz};
-    return *this;
+    return self();
   }
-  DomainOptions& with_boundary(grid::BoundaryKind b) {
+  Derived& with_boundary(grid::BoundaryKind b) {
     boundary = b;
-    return *this;
+    return self();
   }
-  DomainOptions& with_compile(const CompileOptions& c) {
+  Derived& with_compile(const CompileOptions& c) {
     compile = c;
-    return *this;
+    return self();
   }
-  DomainOptions& with_trace(const obs::TraceOptions& t) {
+  Derived& with_trace(const obs::TraceOptions& t) {
     trace = t;
-    return *this;
+    return self();
   }
-  DomainOptions& with_health(const obs::HealthOptions& h) {
+  Derived& with_health(const obs::HealthOptions& h) {
     health = h;
-    return *this;
+    return self();
   }
-  DomainOptions& with_machine(const perf::MachineModel& m) {
+  Derived& with_machine(const perf::MachineModel& m) {
     machine = m;
-    return *this;
+    return self();
   }
-  DomainOptions& with_resilience(const resilience::ResilienceOptions& r) {
+  Derived& with_resilience(const resilience::ResilienceOptions& r) {
     resilience = r;
-    return *this;
+    return self();
   }
+
+ private:
+  Derived& self() { return static_cast<Derived&>(*this); }
 };
 
 }  // namespace pfc::app

@@ -1,5 +1,6 @@
 #include "pfc/app/options_json.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "pfc/support/assert.hpp"
@@ -22,18 +23,14 @@ void require_object(const Json& j, const std::string& where) {
   if (!j.is_object()) bad(where, "expected an object");
 }
 
-void check_keys(const Json& j, std::initializer_list<const char*> allowed,
+void check_keys(const Json& j, const std::vector<const char*>& allowed,
                 const std::string& where) {
   for (const auto& [key, v] : j.items()) {
     (void)v;
-    bool ok = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
+    if (std::none_of(allowed.begin(), allowed.end(),
+                     [&](const char* a) { return key == a; })) {
+      bad(where + "." + key, "unknown key");
     }
-    if (!ok) bad(where + "." + key, "unknown key");
   }
 }
 
@@ -466,7 +463,6 @@ Json simulation_options_to_json(const SimulationOptions& o) {
   return domain_to_json(o)
       .set("threads", Json(o.threads))
       .set("time_scheme", Json(time_scheme_name(o.time_scheme)))
-      .set("block_offset", array_json(o.block_offset))
       .set("pin", Json(support::pin_policy_name(o.pin)))
       .set("first_touch", Json(o.first_touch))
       .set("dispatch", Json(dispatch_name(o.dispatch)))
@@ -479,22 +475,16 @@ SimulationOptions simulation_options_from_json(const Json& j,
   require_object(j, where);
   std::vector<const char*> allowed(kDomainKeys);
   allowed.insert(allowed.end(),
-                 {"threads", "time_scheme", "block_offset", "pin",
+                 {"threads", "time_scheme", "pin",
                   "first_touch", "dispatch", "blocking",
                   "blocking_tile_rows"});
-  for (const auto& [key, v] : j.items()) {
-    (void)v;
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) bad(where + "." + key, "unknown key");
-  }
+  check_keys(j, allowed, where);
   SimulationOptions o;
   domain_from_json(j, o, where);
   o.threads = int(read_int(j, "threads", o.threads, where));
   if (o.threads < 1) bad(where + ".threads", "must be >= 1");
   o.time_scheme = parse_time_scheme(
       read_str(j, "time_scheme", time_scheme_name(o.time_scheme), where));
-  o.block_offset = read_array(j, "block_offset", o.block_offset, where);
   o.pin = support::parse_pin_policy(
       read_str(j, "pin", support::pin_policy_name(o.pin), where));
   o.first_touch = read_bool(j, "first_touch", o.first_touch, where);
@@ -514,20 +504,17 @@ Json distributed_options_to_json(const DistributedOptions& o) {
   return domain_to_json(o)
       .set("blocks_per_dim", array_json(o.blocks_per_dim))
       .set("overlap", Json(overlap_mode_name(o.overlap)))
-      .set("threads", Json(o.threads));
+      .set("threads", Json(o.threads))
+      .set("time_scheme", Json(time_scheme_name(o.time_scheme)));
 }
 
 DistributedOptions distributed_options_from_json(const Json& j,
                                                  const std::string& where) {
   require_object(j, where);
   std::vector<const char*> allowed(kDomainKeys);
-  allowed.insert(allowed.end(), {"blocks_per_dim", "overlap", "threads"});
-  for (const auto& [key, v] : j.items()) {
-    (void)v;
-    bool ok = false;
-    for (const char* a : allowed) ok = ok || key == a;
-    if (!ok) bad(where + "." + key, "unknown key");
-  }
+  allowed.insert(allowed.end(),
+                 {"blocks_per_dim", "overlap", "threads", "time_scheme"});
+  check_keys(j, allowed, where);
   DistributedOptions o;
   domain_from_json(j, o, where);
   o.blocks_per_dim = read_array(j, "blocks_per_dim", o.blocks_per_dim, where);
@@ -539,6 +526,8 @@ DistributedOptions distributed_options_from_json(const Json& j,
       read_str(j, "overlap", overlap_mode_name(o.overlap), where));
   o.threads = int(read_int(j, "threads", o.threads, where));
   if (o.threads < 1) bad(where + ".threads", "must be >= 1");
+  o.time_scheme = parse_time_scheme(
+      read_str(j, "time_scheme", time_scheme_name(o.time_scheme), where));
   return o;
 }
 

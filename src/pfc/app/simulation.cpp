@@ -1,12 +1,6 @@
 #include "pfc/app/simulation.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <limits>
-
-#include "pfc/perf/drift.hpp"
-#include "pfc/support/timer.hpp"
 
 #ifndef M_PI
 #define M_PI 3.14159265358979323846
@@ -16,20 +10,14 @@ namespace pfc::app {
 
 namespace {
 
-std::array<std::int64_t, 3> flux_size(const std::array<long long, 3>& n,
-                                      int dims) {
-  std::array<std::int64_t, 3> s{1, 1, 1};
-  for (int d = 0; d < dims; ++d) s[std::size_t(d)] = n[std::size_t(d)] + 1;
-  return s;
-}
-
-// JIT fault injection must reach the ctor's compile, which runs in the
-// member-init list — fold the plan into the compile options up front.
-CompileOptions compile_opts_with_faults(const SimulationOptions& o) {
-  CompileOptions c = o.compile;
-  c.fail_jit_attempts =
-      resilience::effective_faults(o.resilience).fail_jit_attempts;
-  return c;
+/// The whole domain as the only block of a 1×1×1 forest.
+DistributedOptions single_block(const SimulationOptions& o) {
+  DistributedOptions d;
+  static_cast<DomainOptions&>(d) = o;
+  d.blocks_per_dim = {1, 1, 1};
+  d.threads = o.threads;
+  d.time_scheme = o.time_scheme;
+  return d;
 }
 
 }  // namespace
@@ -41,540 +29,9 @@ double interface_profile(double signed_distance, double width) {
 }
 
 Simulation::Simulation(GrandChemModel model, const SimulationOptions& opts)
-    : model_(std::move(model)),
-      opts_(opts),
-      compiled_(ModelCompiler(compile_opts_with_faults(opts)).compile(model_)),
-      pool_(opts.threads > 1
-                ? std::make_unique<ThreadPool>(
-                      ThreadPoolOptions{opts.threads, opts.pin})
-                : nullptr),
-      phi_src_arr_(model_.phi_src(),
-                   {opts.cells[0], opts.cells[1], opts.cells[2]}, 1,
-                   first_touch_pool()),
-      phi_dst_arr_(model_.phi_dst(),
-                   {opts.cells[0], opts.cells[1], opts.cells[2]}, 1,
-                   first_touch_pool()),
-      mu_src_arr_(model_.mu_src(),
-                  {opts.cells[0], opts.cells[1], opts.cells[2]}, 1,
-                  first_touch_pool()),
-      mu_dst_arr_(model_.mu_dst(),
-                  {opts.cells[0], opts.cells[1], opts.cells[2]}, 1,
-                  first_touch_pool()),
-      health_(opts.health, &reg_) {
-  const int dims = model_.params().dims;
-  if (compiled_.phi_flux_field) {
-    phi_flux_arr_.emplace(*compiled_.phi_flux_field,
-                          flux_size(opts.cells, dims), 0,
-                          first_touch_pool());
-  }
-  if (compiled_.mu_flux_field) {
-    mu_flux_arr_.emplace(*compiled_.mu_flux_field,
-                         flux_size(opts.cells, dims), 0,
-                         first_touch_pool());
-  }
-  setup_schedule();
-
-  tracer_.configure(opts.trace, /*pid=*/0);
-  if (tracer_.enabled()) {
-    // compile stages as instant events at the timeline origin, carrying
-    // their duration as args.seconds (the stages ran before the epoch)
-    for (const auto& [stage, t] : compiled_.compile_report().stage_timers) {
-      tracer_.instant(tracer_.intern("compile/" + stage), "compile", -1,
-                      t.seconds);
-    }
-  }
-  // cache ECM predictions once: block geometry/threads are fixed from here
-  std::vector<const ir::Kernel*> kernels;
-  for (const auto& ck : compiled_.phi_kernels) kernels.push_back(&ck.ir);
-  for (const auto& ck : compiled_.mu_kernels) kernels.push_back(&ck.ir);
-  predicted_mlups_ = perf::predicted_mlups_by_kernel(
-      kernels, opts.cells, opts.machine, opts.threads,
-      compiled_.compile_report().vector_width);
-
-  if (opts.time_scheme == TimeScheme::Heun) {
-    phi_0_.emplace(model_.phi_src(),
-                   std::array<std::int64_t, 3>{opts.cells[0], opts.cells[1],
-                                               opts.cells[2]},
-                   1, first_touch_pool());
-    mu_0_.emplace(model_.mu_src(),
-                  std::array<std::int64_t, 3>{opts.cells[0], opts.cells[1],
-                                              opts.cells[2]},
-                  1, first_touch_pool());
-  }
-
-  dt_current_ = model_.params().dt;
-  faults_ = resilience::effective_faults(opts.resilience);
-  if (!opts.resilience.restart_from.empty()) restore_from_disk();
-}
-
-backend::Binding Simulation::bind(const ir::Kernel& k,
-                                  bool for_flux_of_mu) const {
-  backend::Binding b;
-  b.block_offset = opts_.block_offset;
-  auto* self = const_cast<Simulation*>(this);
-  for (const auto& f : k.fields) {
-    Array* a = nullptr;
-    if (f->id() == model_.phi_src()->id()) a = &self->phi_src_arr_;
-    else if (f->id() == model_.phi_dst()->id()) a = &self->phi_dst_arr_;
-    else if (f->id() == model_.mu_src()->id()) a = &self->mu_src_arr_;
-    else if (f->id() == model_.mu_dst()->id()) a = &self->mu_dst_arr_;
-    else if (compiled_.phi_flux_field &&
-             f->id() == (*compiled_.phi_flux_field)->id()) {
-      a = &*self->phi_flux_arr_;
-    } else if (compiled_.mu_flux_field &&
-               f->id() == (*compiled_.mu_flux_field)->id()) {
-      a = &*self->mu_flux_arr_;
-    }
-    PFC_REQUIRE(a != nullptr, "simulation: kernel needs unknown field " +
-                                  f->name());
-    b.arrays.push_back(a);
-  }
-  (void)for_flux_of_mu;
-  return b;
-}
-
-void Simulation::init_phi(
-    const std::function<double(long long, long long, long long, int)>& f) {
-  const auto& n = opts_.cells;
-  for (int c = 0; c < phi_src_arr_.components(); ++c) {
-    for (long long z = 0; z < n[2]; ++z) {
-      for (long long y = 0; y < n[1]; ++y) {
-        for (long long x = 0; x < n[0]; ++x) {
-          phi_src_arr_.at(x, y, z, c) = f(x, y, z, c);
-        }
-      }
-    }
-  }
-  fill_all_ghosts(phi_src_arr_);
-}
-
-void Simulation::init_mu(
-    const std::function<double(long long, long long, long long, int)>& f) {
-  const auto& n = opts_.cells;
-  for (int c = 0; c < mu_src_arr_.components(); ++c) {
-    for (long long z = 0; z < n[2]; ++z) {
-      for (long long y = 0; y < n[1]; ++y) {
-        for (long long x = 0; x < n[0]; ++x) {
-          mu_src_arr_.at(x, y, z, c) = f(x, y, z, c);
-        }
-      }
-    }
-  }
-  fill_all_ghosts(mu_src_arr_);
-}
-
-double Simulation::euler_substep(double t) {
-  const std::array<long long, 3> cells = opts_.cells;
-  obs::TraceRecorder* tr = trace_this_step_ ? &tracer_ : nullptr;
-  double substep_seconds = 0.0;
-  const SlabPlan* plan = opts_.dispatch == Dispatch::Static && pool_ != nullptr
-                             ? &slab_plan_
-                             : nullptr;
-  const auto timed_run = [&](const CompiledKernel& ck) {
-    Timer timer;
-    const double ts = tr != nullptr ? tr->now_us() : 0.0;
-    ck.run(bind(ck.ir, false), cells, t, step_, pool_.get(), tr, nullptr,
-           plan);
-    const double s = timer.seconds();
-    if (tr != nullptr) {
-      tr->complete(ck.ir.name.c_str(), "kernel", ts, s * 1e6, step_, 0);
-    }
-    reg_.add_time("kernel/" + ck.ir.name, s);
-    substep_seconds += s;
-  };
-  const auto traced_fill = [&](Array& a) {
-    obs::TraceSpan span(tr, "boundary", "ghost", step_, 0);
-    fill_all_ghosts(a);
-  };
-  for (const auto& ck : compiled_.phi_kernels) timed_run(ck);
-  traced_fill(phi_dst_arr_);
-  for (const auto& ck : compiled_.mu_kernels) timed_run(ck);
-  traced_fill(mu_dst_arr_);
-  phi_src_arr_.swap_data(phi_dst_arr_);
-  mu_src_arr_.swap_data(mu_dst_arr_);
-  return substep_seconds;
-}
-
-double Simulation::fused_substep(double t) {
-  obs::TraceRecorder* tr = trace_this_step_ ? &tracer_ : nullptr;
-  WavefrontRun wr;
-  wr.schedule = &wavefront_;
-  for (const auto& st : wavefront_.stages) {
-    wr.bindings.push_back(bind(st.kernel->ir, false));
-  }
-  wr.cells = opts_.cells;
-  wr.t = t;
-  wr.t_step = step_;
-  wr.pool = pool_.get();
-  wr.plan = &slab_plan_;
-  wr.boundary = opts_.boundary;
-  wr.tile_rows = blocking_.tile_rows;
-  const double ts = tr != nullptr ? tr->now_us() : 0.0;
-  Timer timer;
-  const std::vector<double> stage_seconds = run_wavefront(wr);
-  if (tr != nullptr) {
-    tr->complete("wavefront", "kernel", ts, timer.seconds() * 1e6, step_, 0);
-  }
-  double substep_seconds = 0.0;
-  for (std::size_t j = 0; j < wavefront_.stages.size(); ++j) {
-    reg_.add_time("kernel/" + wavefront_.stages[j].kernel->ir.name,
-                  stage_seconds[j]);
-    substep_seconds += stage_seconds[j];
-  }
-  ++fused_substeps_;
-  // φ_dst ghosts were completed inside the schedule (transverse per row
-  // band, outer axis at the barrier); only µ_dst still needs its fill.
-  {
-    obs::TraceSpan span(tr, "boundary", "ghost", step_, 0);
-    fill_all_ghosts(mu_dst_arr_);
-  }
-  phi_src_arr_.swap_data(phi_dst_arr_);
-  mu_src_arr_.swap_data(mu_dst_arr_);
-  return substep_seconds;
-}
-
-void Simulation::setup_schedule() {
-  const int dims = model_.params().dims;
-  const long long n_outer = opts_.cells[std::size_t(dims - 1)];
-  const int nt = pool_ != nullptr ? pool_->num_threads() : 1;
-  // In 1-D the slab axis is the vectorized axis: keep boundaries aligned
-  // so the static launches match parallel_for's chunk rounding bitwise.
-  const int align =
-      dims == 1 ? std::max(1, compiled_.compile_report().vector_width) : 1;
-  slab_plan_ = SlabPlan::make(0, n_outer, nt, align);
-
-  std::vector<const CompiledKernel*> chain;
-  std::vector<const ir::Kernel*> irs;
-  for (const auto& ck : compiled_.phi_kernels) chain.push_back(&ck);
-  for (const auto& ck : compiled_.mu_kernels) chain.push_back(&ck);
-  for (const CompiledKernel* ck : chain) irs.push_back(&ck->ir);
-
-  const auto array_of = [&](std::uint64_t id) -> Array* {
-    if (id == model_.phi_src()->id()) return &phi_src_arr_;
-    if (id == model_.phi_dst()->id()) return &phi_dst_arr_;
-    if (id == model_.mu_src()->id()) return &mu_src_arr_;
-    if (id == model_.mu_dst()->id()) return &mu_dst_arr_;
-    if (compiled_.phi_flux_field &&
-        id == (*compiled_.phi_flux_field)->id()) {
-      return &*phi_flux_arr_;
-    }
-    if (compiled_.mu_flux_field && id == (*compiled_.mu_flux_field)->id()) {
-      return &*mu_flux_arr_;
-    }
-    return nullptr;
-  };
-
-  wavefront_ = WavefrontSchedule{};
-  blocking_ = perf::BlockingPlan{};
-  if (opts_.blocking == BlockingMode::Off) {
-    blocking_.reason = "temporal blocking not requested";
-    return;
-  }
-  WavefrontSchedule ws =
-      build_wavefront(chain, dims, /*ghost=*/1, array_of);
-  if (!ws.valid()) {
-    blocking_.reason =
-        "no fusable wavefront schedule (1-D chain, or a domain-edge "
-        "prologue stage reads a mid-chain ghosted field)";
-    return;
-  }
-  blocking_ =
-      perf::blocking_plan(irs, opts_.cells, opts_.machine, nt, ws.span,
-                          /*ghost=*/1);
-  if (opts_.blocking == BlockingMode::Fixed) {
-    blocking_.enabled = opts_.blocking_tile_rows > 0;
-    blocking_.tile_rows = opts_.blocking_tile_rows;
-    blocking_.reason = blocking_.enabled
-                           ? "fixed tile height requested"
-                           : "BlockingMode::Fixed needs tile_rows > 0";
-  }
-  if (!blocking_.enabled) return;
-  // Prologue strips of adjacent workers must not overlap — decline fusion
-  // (rather than racing) when a slab is too thin.
-  for (int w = 0; w < nt; ++w) {
-    const auto [lo, hi] = slab_plan_.slab(w, 0, n_outer);
-    if (hi - lo < ws.min_slab_rows) {
-      blocking_.enabled = false;
-      blocking_.reason = "worker slab of " + std::to_string(hi - lo) +
-                         " rows is thinner than the " +
-                         std::to_string(ws.min_slab_rows) +
-                         " the wavefront prologue needs";
-      return;
-    }
-  }
-  wavefront_ = std::move(ws);
-}
-
-obs::RunReport Simulation::run(int n) {
-  const long long cells = cells_per_step();
-  obs::Counter& updates = reg_.counter("cell_updates");
-  const auto& res = opts_.resilience;
-  const bool recovery =
-      health_.enabled() && opts_.health.policy == obs::HealthPolicy::Recover;
-  // Baseline rollback target: without one, a violation before the first
-  // periodic checkpoint would be unrecoverable.
-  if ((recovery || res.checkpoint_every > 0) && !snapshot_.valid()) {
-    capture_checkpoint(/*to_disk=*/false);
-  }
-  // run(n) advances n *net* steps: a rollback rewinds step_, and the loop
-  // keeps going until the target is reached (bounded by max_retries).
-  const long long target = step_ + n;
-  while (step_ < target) {
-    // Cooperative cancellation at step granularity: a cancelled/expired
-    // job stops within one step, checkpoints when configured (so a client
-    // cancel is resumable), then surfaces as JobCancelled.
-    if (progress_.cancel != nullptr && progress_.cancel->requested()) {
-      if (!res.directory.empty()) capture_checkpoint(/*to_disk=*/true);
-      throw JobCancelled(progress_.cancel->kind(),
-                         progress_.cancel->reason());
-    }
-    const double dt = dt_current_;
-    Timer step_wall;
-    trace_this_step_ = tracer_.sampled(step_);
-    const double step_ts = trace_this_step_ ? tracer_.now_us() : 0.0;
-    double step_seconds = 0.0;
-    const auto substep = [&](double t) {
-      return blocking_active() ? fused_substep(t) : euler_substep(t);
-    };
-    if (opts_.time_scheme == TimeScheme::Euler) {
-      step_seconds = substep(time_);
-    } else {
-      // Heun: u1 = u0 + dt f(u0); u2 = u1 + dt f(u1); u_new = (u0 + u2) / 2
-      // Staging copy and trapezoidal average are memory-bound; both split
-      // across the pool (ghosts are refreshed from the interior below, so
-      // blending them too is harmless).
-      phi_0_->copy_from(phi_src_arr_, pool_.get());
-      mu_0_->copy_from(mu_src_arr_, pool_.get());
-      step_seconds += substep(time_);       // src now holds u1
-      step_seconds += substep(time_ + dt);  // src now holds u2
-      phi_src_arr_.average_with(*phi_0_, pool_.get());
-      mu_src_arr_.average_with(*mu_0_, pool_.get());
-      fill_all_ghosts(phi_src_arr_);
-      fill_all_ghosts(mu_src_arr_);
-    }
-    ++step_;
-    time_ += dt;
-    // One lattice update per step, whatever the scheme — Heun's two
-    // substeps advance time once. Rolled-back steps stay counted: the
-    // counter measures work actually performed.
-    updates.add(std::uint64_t(cells));
-    reg_.push_step({step_, step_seconds, 0.0, 0, std::uint64_t(cells)});
-    if (trace_this_step_) {
-      tracer_.complete("step", "step", step_ts, tracer_.now_us() - step_ts,
-                       step_ - 1, 0);
-    }
-    maybe_inject_nan();
-    const bool cp_due =
-        res.checkpoint_every > 0 && step_ % res.checkpoint_every == 0;
-    std::uint64_t found = 0;
-    // A checkpoint-due step always scans (when monitoring is on), so a
-    // capture never preserves unverified state.
-    if (health_.due(step_) || (cp_due && health_.enabled())) {
-      health_.scan_block(phi_src_arr_, &mu_src_arr_);
-      found = health_.finish_scan(step_);  // throws under Throw
-    }
-    if (found > 0 && recovery) {
-      if (retries_ >= res.max_retries) {
-        throw Error("pfc resilience: violation at step " +
-                    std::to_string(step_) + " persists after " +
-                    std::to_string(retries_) + " rollbacks, giving up");
-      }
-      ++retries_;
-      last_violation_step_ = std::max(last_violation_step_, step_);
-      rollback();
-      continue;
-    }
-    // Progress beyond the troubled step means the recovery worked.
-    if (step_ > last_violation_step_) retries_ = 0;
-    if (cp_due && found == 0) capture_checkpoint(!res.directory.empty());
-    record_progress(step_wall.seconds());
-  }
-  if (tracer_.enabled()) tracer_.write(opts_.trace.path);
-  return report();
-}
-
-std::string Simulation::layout_signature() const {
-  char buf[160];
-  std::snprintf(
-      buf, sizeof buf,
-      "cells=%lldx%lldx%lld;dims=%d;phases=%d;mu=%d;boundary=%s;blocks=1",
-      opts_.cells[0], opts_.cells[1], opts_.cells[2], model_.params().dims,
-      model_.params().phases, model_.params().num_mu(),
-      opts_.boundary == grid::BoundaryKind::Periodic ? "periodic"
-                                                     : "zerogradient");
-  return buf;
-}
-
-void Simulation::capture_checkpoint(bool to_disk) {
-  snapshot_.capture({step_, time_, dt_current_},
-                    {&phi_src_arr_, &mu_src_arr_});
-  ++res_stats_.checkpoints;
-  res_stats_.last_checkpoint_step = step_;
-  if (!to_disk) return;
-  resilience::CheckpointMeta meta;
-  meta.step = step_;
-  meta.time = time_;
-  meta.dt = dt_current_;
-  meta.rng_seed = model_.params().rng_seed;
-  meta.layout = layout_signature();
-  meta.health = health_.stats();
-  meta.counters["cell_updates"] = reg_.counter_value("cell_updates");
-  resilience::write_checkpoint(
-      opts_.resilience.directory, meta,
-      {{"phi", &phi_src_arr_}, {"mu", &mu_src_arr_}}, /*rank=*/-1,
-      faults_.truncate_checkpoint);
-  if (faults_.truncate_checkpoint) ++res_stats_.faults_injected;
-  ++res_stats_.checkpoint_files;
-}
-
-void Simulation::rollback() {
-  PFC_REQUIRE(snapshot_.valid(), "resilience: no snapshot to roll back to");
-  snapshot_.restore({&phi_src_arr_, &mu_src_arr_});
-  fill_all_ghosts(phi_src_arr_);
-  fill_all_ghosts(mu_src_arr_);
-  step_ = snapshot_.meta().step;
-  time_ = snapshot_.meta().time;
-  ++res_stats_.rollbacks;
-  const double shrink = opts_.resilience.dt_shrink;
-  if (shrink > 0.0 && shrink < 1.0) {
-    rebuild_with_dt(dt_current_ * shrink);
-    ++res_stats_.dt_shrinks;
-  }
-  std::fprintf(stderr,
-               "pfc resilience: rolled back to step %lld (retry %d/%d, "
-               "dt=%g)\n",
-               step_, retries_, opts_.resilience.max_retries, dt_current_);
-}
-
-void Simulation::rebuild_with_dt(double new_dt) {
-  // with_dt() shares the model's Field handles, so the recompiled kernels
-  // bind to the existing φ/µ arrays; only the flux scratch fields are new.
-  model_ = model_.with_dt(new_dt);
-  dt_current_ = new_dt;
-  compiled_ = ModelCompiler(opts_.compile).compile(model_);
-  const int dims = model_.params().dims;
-  phi_flux_arr_.reset();
-  mu_flux_arr_.reset();
-  if (compiled_.phi_flux_field) {
-    phi_flux_arr_.emplace(*compiled_.phi_flux_field,
-                          flux_size(opts_.cells, dims), 0,
-                          first_touch_pool());
-  }
-  if (compiled_.mu_flux_field) {
-    mu_flux_arr_.emplace(*compiled_.mu_flux_field,
-                         flux_size(opts_.cells, dims), 0,
-                         first_touch_pool());
-  }
-  // The schedule holds CompiledKernel/Array pointers into the old compiled
-  // model — rebuild it against the fresh one.
-  setup_schedule();
-}
-
-void Simulation::maybe_inject_nan() {
-  if (fault_nan_fired_ || faults_.nan_step < 0 || step_ != faults_.nan_step) {
-    return;
-  }
-  fault_nan_fired_ = true;
-  ++res_stats_.faults_injected;
-  std::array<long long, 3> c = faults_.nan_cell;
-  for (int d = 0; d < 3; ++d) {
-    c[std::size_t(d)] =
-        std::clamp(c[std::size_t(d)], 0LL, opts_.cells[std::size_t(d)] - 1);
-  }
-  phi_src_arr_.at(c[0], c[1], c[2], 0) =
-      std::numeric_limits<double>::quiet_NaN();
-  std::fprintf(stderr,
-               "pfc fault: injected NaN into phi at step %lld, cell "
-               "(%lld,%lld,%lld)\n",
-               step_, c[0], c[1], c[2]);
-}
-
-void Simulation::record_progress(double step_wall_seconds) {
-  step_seconds_ewma_ =
-      step_seconds_ewma_ <= 0.0
-          ? step_wall_seconds
-          : kProgressEwmaAlpha * step_wall_seconds +
-                (1.0 - kProgressEwmaAlpha) * step_seconds_ewma_;
-  if (!progress_.sink || progress_.every <= 0) return;
-  if (step_ % progress_.every != 0 || step_ <= last_progress_step_) return;
-  last_progress_step_ = step_;
-  ProgressUpdate u;
-  u.step = step_;
-  u.steps_total = progress_.steps_total;
-  u.fraction = progress_.steps_total > 0
-                   ? double(step_) / double(progress_.steps_total)
-                   : 0.0;
-  u.step_seconds_ewma = step_seconds_ewma_;
-  u.mlups =
-      obs::safe_rate(double(cells_per_step()), step_seconds_ewma_) / 1e6;
-  u.eta_seconds =
-      progress_.steps_total > 0 && progress_.steps_total > step_
-          ? double(progress_.steps_total - step_) * step_seconds_ewma_
-          : 0.0;
-  u.health_violations = health_.stats().total_violations();
-  progress_.sink(u);
-}
-
-void Simulation::restore_from_disk() {
-  std::vector<resilience::RestoreArray> arrays{{"phi", &phi_src_arr_},
-                                               {"mu", &mu_src_arr_}};
-  const resilience::CheckpointMeta meta = resilience::read_checkpoint(
-      opts_.resilience.restart_from, arrays, layout_signature());
-  PFC_REQUIRE(meta.rng_seed == model_.params().rng_seed,
-              "resilience: checkpoint rng_seed " +
-                  std::to_string(meta.rng_seed) +
-                  " differs from the model's " +
-                  std::to_string(model_.params().rng_seed) +
-                  " — restart would change the noise stream");
-  fill_all_ghosts(phi_src_arr_);
-  fill_all_ghosts(mu_src_arr_);
-  step_ = meta.step;
-  time_ = meta.time;
-  health_.restore_stats(meta.health);
-  if (meta.dt != dt_current_) rebuild_with_dt(meta.dt);
-  res_stats_.restarted = true;
-  res_stats_.restart_step = meta.step;
-}
-
-obs::RunReport Simulation::report() const {
-  obs::RunReport r;
-  r.name = "simulation";
-  r.steps = step_;
-  r.cells_per_step = cells_per_step();
-  r.cell_updates = reg_.counter_value("cell_updates");
-  for (const auto& [path, t] : reg_.timers()) {
-    if (path.rfind("kernel/", 0) == 0) {
-      r.kernel_timers[path.substr(7)] = t;
-      r.kernel_seconds_total += t.seconds;
-    }
-  }
-  r.recent_steps = reg_.recent_steps();
-  r.block_imbalance = step_ > 0 ? 1.0 : 0.0;  // single block
-  r.health = health_.stats();
-  r.health_policy = opts_.health.policy;
-  r.resilience = res_stats_;
-  r.resilience.dt_current = dt_current_;
-  r.threading.threads = opts_.threads;
-  r.threading.pin_policy = support::pin_policy_name(opts_.pin);
-  r.threading.dispatch =
-      opts_.dispatch == Dispatch::Static ? "static" : "dynamic";
-  r.threading.first_touch = opts_.first_touch && pool_ != nullptr;
-  const support::Topology topo = support::Topology::detect();
-  r.threading.cpus = int(topo.cpus.size());
-  r.threading.cores = topo.cores;
-  r.threading.packages = topo.packages;
-  r.threading.numa_nodes = topo.nodes;
-  r.threading.blocking_enabled = blocking_active();
-  r.threading.blocking_tile_rows = blocking_.tile_rows;
-  r.threading.blocking_lookahead = blocking_.lookahead;
-  r.threading.fused_stages = int(wavefront_.stages.size());
-  r.threading.fused_substeps = fused_substeps_;
-  r.threading.blocking_reason = blocking_.reason;
-  r.threading.bytes_per_update_unfused = blocking_.bytes_per_update_unfused;
-  r.threading.bytes_per_update_fused = blocking_.bytes_per_update_fused;
-  perf::fill_model_accuracy(r, predicted_mlups_, cells_per_step(),
-                            model_.params().dims);
-  return r;
-}
+    : driver_(std::move(model), single_block(opts), /*comm=*/nullptr,
+              {opts.pin, opts.first_touch, opts.dispatch, opts.blocking,
+               opts.blocking_tile_rows},
+              "simulation") {}
 
 }  // namespace pfc::app

@@ -1,56 +1,19 @@
-// Single-block time-stepping driver implementing the paper's Algorithm 1:
-//
-//   1. φ_dst ← φ-kernel(φ_src^D..C.., µ_src)           ("φ-full"/"φ-split")
-//   2. φ_dst boundary handling
-//   3. µ_dst ← µ-kernel(µ_src, φ_src, φ_dst)           ("µ-full"/"µ-split")
-//   4. µ_dst boundary handling
-//   5. swap φ_src ↔ φ_dst and µ_src ↔ µ_dst
-//
-// Distributed multi-block runs replace step 2/4's boundary fill by ghost
-// exchange (pfc/grid/ghost_exchange.hpp); this class covers the node-level
-// scenario used by examples, physics tests and kernel benchmarks.
+// The node-level driver: one block, no communicator. Simulation is a thin
+// facade over the block-forest driver (distributed.hpp) on a 1×1×1 forest,
+// so examples, physics tests and kernel benchmarks run exactly the step
+// loop a distributed run does — Algorithm 1 with the ghost exchange
+// reduced to in-place boundary fills — plus the node-level schedules that
+// need the whole domain in one block: static slab dispatch over a pinned
+// pool, first-touch placement and the fused wavefront substep.
 #pragma once
 
-#include <functional>
-#include <map>
-
-#include "pfc/app/options.hpp"
-#include "pfc/app/progress.hpp"
-#include "pfc/app/wavefront.hpp"
-#include "pfc/obs/report.hpp"
-#include "pfc/perf/blocking.hpp"
-#include "pfc/resilience/checkpoint.hpp"
-#include "pfc/support/topology.hpp"
+#include "pfc/app/distributed.hpp"
 
 namespace pfc::app {
 
-/// Explicit time integrator. Heun (RK2) reuses the generated Euler-update
-/// kernels: predictor step, corrector step, then averaging — the paper's
-/// "further temporal discretization options" extension, realized purely at
-/// the driver level.
-enum class TimeScheme { Euler, Heun };
-
-/// How kernel launches split the outer loop across the pool.
-enum class Dispatch {
-  /// parallel_for chunks re-enqueued per launch (the seed behaviour).
-  Dynamic,
-  /// Static slab ownership: worker w runs the same rows for every launch
-  /// of every step — the rows first-touch placed on w's NUMA node.
-  Static,
-};
-
-/// Temporal-blocking (wavefront) schedule of the fused φ/µ substep.
-enum class BlockingMode {
-  Off,   ///< reference order: φ sweep, fill, µ sweep, fill
-  Auto,  ///< fuse with perf::blocking_plan-sized tiles when profitable
-  Fixed, ///< fuse with a caller-chosen tile height (blocking_tile_rows)
-};
-
-struct SimulationOptions : DomainOptions {
+struct SimulationOptions : DomainSetters<SimulationOptions> {
   int threads = 1;
   TimeScheme time_scheme = TimeScheme::Euler;
-  /// Global offset of this block (distributed runs).
-  std::array<long long, 3> block_offset{0, 0, 0};
   /// Worker→CPU binding policy of the pool (threads > 1).
   support::PinPolicy pin = support::PinPolicy::None;
   /// First-touch the field arrays through the pool so each worker's slab
@@ -62,49 +25,12 @@ struct SimulationOptions : DomainOptions {
   /// Tile height for BlockingMode::Fixed (rows along the outer axis).
   long long blocking_tile_rows = 0;
 
-  SimulationOptions& with_cells(long long nx, long long ny,
-                                long long nz = 1) {
-    DomainOptions::with_cells(nx, ny, nz);
-    return *this;
-  }
-  SimulationOptions& with_boundary(grid::BoundaryKind b) {
-    DomainOptions::with_boundary(b);
-    return *this;
-  }
-  SimulationOptions& with_compile(const CompileOptions& c) {
-    DomainOptions::with_compile(c);
-    return *this;
-  }
-  SimulationOptions& with_trace(const obs::TraceOptions& t) {
-    DomainOptions::with_trace(t);
-    return *this;
-  }
-  SimulationOptions& with_health(const obs::HealthOptions& h) {
-    DomainOptions::with_health(h);
-    return *this;
-  }
-  SimulationOptions& with_resilience(const resilience::ResilienceOptions& r) {
-    DomainOptions::with_resilience(r);
-    return *this;
-  }
   SimulationOptions& with_threads(int t) {
     threads = t;
     return *this;
   }
-  SimulationOptions& with_time_scheme(TimeScheme s) {
-    time_scheme = s;
-    return *this;
-  }
   SimulationOptions& with_pin(support::PinPolicy p) {
     pin = p;
-    return *this;
-  }
-  SimulationOptions& with_first_touch(bool on) {
-    first_touch = on;
-    return *this;
-  }
-  SimulationOptions& with_dispatch(Dispatch d) {
-    dispatch = d;
     return *this;
   }
   SimulationOptions& with_blocking(BlockingMode m, long long tile_rows = 0) {
@@ -121,133 +47,54 @@ class Simulation {
   /// been applied) from it; skip init_*() in that case.
   Simulation(GrandChemModel model, const SimulationOptions& opts);
 
-  const GrandChemModel& model() const { return model_; }
-  const CompiledModel& compiled() const { return compiled_; }
+  const GrandChemModel& model() const { return driver_.model(); }
+  const CompiledModel& compiled() const { return driver_.compiled(); }
 
   /// Current state (reads after the most recent completed step).
-  Array& phi() { return phi_src_arr_; }
-  Array& mu() { return mu_src_arr_; }
-  const Array& phi() const { return phi_src_arr_; }
-  const Array& mu() const { return mu_src_arr_; }
+  Array& phi() { return driver_.phi(0); }
+  Array& mu() { return driver_.mu(0); }
+  const Array& phi() const { return driver_.phi(0); }
+  const Array& mu() const { return driver_.mu(0); }
 
   /// Sets φ/µ via a callback over interior cells, then fills ghosts.
   /// The callback returns the value for (x, y, z, component).
-  void init_phi(const std::function<double(long long, long long, long long,
-                                           int)>& f);
-  void init_mu(const std::function<double(long long, long long, long long,
-                                          int)>& f);
+  void init_phi(const DistributedSimulation::CellFn& f) {
+    driver_.init_phi(f);
+  }
+  void init_mu(const DistributedSimulation::CellFn& f) {
+    driver_.init_mu(f);
+  }
 
   /// Advances `n` time steps and returns the cumulative run report (all
   /// steps since construction, so repeated bursts keep one consistent
   /// accounting).
-  obs::RunReport run(int n);
+  obs::RunReport run(int n) { return driver_.run(n); }
 
-  long long step_count() const { return step_; }
-  /// Accumulated simulation time. Summed step by step (not step_ * dt): dt
-  /// may shrink after a rollback, and a checkpointed time restores bitwise
-  /// because the manifest stores the accumulated double exactly.
-  double time() const { return time_; }
-  /// Current time-step size (params().dt until a rollback shrank it).
-  double dt() const { return dt_current_; }
+  long long step_count() const { return driver_.step_count(); }
+  double time() const { return driver_.time(); }
+  double dt() const { return driver_.dt(); }
 
   /// Cumulative report without advancing time (equals the last run()'s
   /// return value).
-  obs::RunReport report() const;
-  /// The raw timer/counter registry behind the report.
-  const obs::Registry& registry() const { return reg_; }
-  /// The span recorder behind TraceOptions (disabled unless configured).
-  const obs::TraceRecorder& tracer() const { return tracer_; }
-  /// The in-situ health monitor (no-op unless HealthOptions::enabled).
-  const obs::HealthMonitor& health() const { return health_; }
-  /// Checkpoint/rollback accounting (mirrors report().resilience).
-  const obs::ResilienceStats& resilience_stats() const { return res_stats_; }
-
-  /// The temporal-blocking decision (sized tile / why disabled).
-  const perf::BlockingPlan& blocking_plan() const { return blocking_; }
-  /// True when steps run the fused wavefront schedule.
-  bool blocking_active() const {
-    return blocking_.enabled && wavefront_.valid();
+  obs::RunReport report() const { return driver_.report(); }
+  const obs::Registry& registry() const { return driver_.registry(); }
+  const obs::TraceRecorder& tracer() const { return driver_.tracer(); }
+  const obs::HealthMonitor& health() const { return driver_.health(); }
+  const obs::ResilienceStats& resilience_stats() const {
+    return driver_.resilience_stats();
   }
-  /// The pool (null when threads == 1) — exposed for placement inspection.
-  const ThreadPool* pool() const { return pool_.get(); }
 
-  /// Enables periodic progress sampling: run() invokes p.sink every
-  /// p.every completed steps (on the stepping thread; see progress.hpp).
-  void set_progress(ProgressOptions p) { progress_ = std::move(p); }
+  const perf::BlockingPlan& blocking_plan() const {
+    return driver_.blocking_plan();
+  }
+  bool blocking_active() const { return driver_.blocking_active(); }
+  /// The pool (null when threads == 1) — exposed for placement inspection.
+  const ThreadPool* pool() const { return driver_.pool(); }
+
+  void set_progress(ProgressOptions p) { driver_.set_progress(std::move(p)); }
 
  private:
-  backend::Binding bind(const ir::Kernel& k, bool for_flux_of_mu) const;
-  void fill_all_ghosts(Array& a) { grid::fill_ghosts(a, opts_.boundary); }
-
-  /// Returns kernel seconds spent in this substep.
-  double euler_substep(double t);
-  /// Fused (wavefront) variant of the substep body; same contract.
-  double fused_substep(double t);
-  /// (Re)derives the slab plan, wavefront schedule and blocking decision
-  /// from the compiled kernels (ctor and rebuild_with_dt).
-  void setup_schedule();
-  ThreadPool* first_touch_pool() const {
-    return opts_.first_touch ? pool_.get() : nullptr;
-  }
-  long long cells_per_step() const {
-    return opts_.cells[0] * opts_.cells[1] * opts_.cells[2];
-  }
-
-  // --- resilience (checkpoint/rollback/recovery) ---
-  std::string layout_signature() const;
-  /// Captures the in-memory rollback snapshot; also writes the on-disk
-  /// checkpoint when `to_disk`.
-  void capture_checkpoint(bool to_disk);
-  /// Restores the last snapshot (state, step, time) and applies the
-  /// configured dt shrink.
-  void rollback();
-  /// Regenerates + recompiles the kernels with a new dt (dt folds into the
-  /// generated code) and rebinds the flux scratch arrays.
-  void rebuild_with_dt(double new_dt);
-  /// Fires FaultPlan::nan_step once when due (right after `step_` advanced).
-  void maybe_inject_nan();
-  /// Updates the step-time EWMA and emits a progress sample when due.
-  void record_progress(double step_wall_seconds);
-  /// Restores state from opts_.resilience.restart_from (ctor helper).
-  void restore_from_disk();
-
-  GrandChemModel model_;
-  SimulationOptions opts_;
-  CompiledModel compiled_;
-  /// Declared before the arrays: first-touch initialization runs on the
-  /// (pinned) pool during array construction.
-  std::unique_ptr<ThreadPool> pool_;
-  Array phi_src_arr_, phi_dst_arr_, mu_src_arr_, mu_dst_arr_;
-  std::optional<Array> phi_flux_arr_, mu_flux_arr_;
-  /// Heun predictor storage for the state at the step start.
-  std::optional<Array> phi_0_, mu_0_;
-  /// Static outer-axis slab ownership shared by first-touch, every kernel
-  /// launch (Dispatch::Static) and the wavefront schedule.
-  SlabPlan slab_plan_;
-  WavefrontSchedule wavefront_;
-  perf::BlockingPlan blocking_;
-  long long fused_substeps_ = 0;
-  long long step_ = 0;
-  double time_ = 0.0;
-  /// Live dt: starts at params().dt, shrunk by rollbacks (kernels are
-  /// recompiled to match — dt is folded into the generated code).
-  double dt_current_ = 0.0;
-  resilience::FaultPlan faults_;
-  bool fault_nan_fired_ = false;
-  resilience::Snapshot snapshot_;
-  obs::ResilienceStats res_stats_;
-  int retries_ = 0;
-  long long last_violation_step_ = -1;
-  obs::Registry reg_;
-  obs::TraceRecorder tracer_;
-  obs::HealthMonitor health_;
-  /// ECM-predicted MLUP/s per kernel (cached; feeds model_accuracy).
-  std::map<std::string, double> predicted_mlups_;
-  /// True while the current step is on the trace sampling grid.
-  bool trace_this_step_ = false;
-  ProgressOptions progress_;
-  double step_seconds_ewma_ = 0.0;
-  long long last_progress_step_ = -1;
+  DistributedSimulation driver_;
 };
 
 // --- initial-condition helpers ----------------------------------------------

@@ -210,6 +210,12 @@ void GhostExchange::exchange_axis(const std::vector<LocalBlockField>& local,
   for (const auto& lf : local) {
     Array& a = *lf.array;
     const int g = a.ghost_layers();
+    if (forest_.neighbor(*lf.block, axis, -1) == lf.block) {
+      // One block across a periodic axis is its own neighbour on both
+      // sides: fill in place instead of packing and unpacking the slabs.
+      fill_ghosts_axis(a, axis, BoundaryKind::Periodic);
+      continue;
+    }
     for (int side : {-1, +1}) {
       const Block* nb = forest_.neighbor(*lf.block, axis, side);
       if (nb == nullptr || nb->owner != my_rank) continue;

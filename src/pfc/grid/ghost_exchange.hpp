@@ -5,7 +5,10 @@
 // ghosts propagate without diagonal messages — the standard trick also used
 // by waLBerla. Local neighbour pairs are copied directly; remote pairs are
 // packed into contiguous buffers and sent via pfc::mpi (the paper's pack →
-// single asynchronous message design).
+// single asynchronous message design). A block that is its own neighbour
+// (one block across a periodic axis) is filled in place by
+// grid::fill_ghosts_axis, so a one-block forest without a communicator
+// costs exactly the single-block boundary fill and gives its bits.
 //
 // Two entry points share the same sweeps:
 //   - exchange(): the fully synchronous round (pack, send, recv, unpack per

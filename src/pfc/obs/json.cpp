@@ -150,6 +150,7 @@ struct Parser {
   const std::string& text;
   std::size_t pos = 0;
   std::string error;
+  int depth = 0;  ///< open objects/arrays around the current value
 
   bool fail(const std::string& msg) {
     if (error.empty()) {
@@ -178,8 +179,17 @@ struct Parser {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     const char c = text[pos];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      // Bounded recursion: a hostile line of nested brackets fails here
+      // instead of overflowing the stack (and the Json destructor).
+      if (depth == kJsonMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(kJsonMaxDepth));
+      }
+      ++depth;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth;
+      return ok;
+    }
     if (c == '"') {
       std::string s;
       if (!parse_string(s)) return false;
@@ -315,7 +325,7 @@ struct Parser {
 }  // namespace
 
 Json Json::parse(const std::string& text, std::string* error) {
-  Parser p{text, 0, {}};
+  Parser p{text, 0, {}, 0};
   Json out;
   if (!p.parse_value(out)) {
     if (error != nullptr) *error = p.error;

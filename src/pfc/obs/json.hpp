@@ -10,6 +10,12 @@
 
 namespace pfc::obs {
 
+/// Deepest object/array nesting Json::parse accepts. Every document this
+/// project reads is a few levels deep; the cap keeps parsing (and the
+/// recursive destructor of what it built) within a bounded stack whatever
+/// arrives from outside.
+inline constexpr int kJsonMaxDepth = 256;
+
 class Json {
  public:
   enum class Kind { Null, Bool, Number, String, Object, Array };
@@ -53,7 +59,8 @@ class Json {
   /// Serializes with 2-space indentation (indent < 0: compact one-liner).
   std::string dump(int indent = 2) const;
 
-  /// Recursive-descent parse; returns Null and sets *error on failure.
+  /// Recursive-descent parse; returns Null and sets *error on failure
+  /// (including nesting deeper than kJsonMaxDepth).
   static Json parse(const std::string& text, std::string* error = nullptr);
 
  private:

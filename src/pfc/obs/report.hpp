@@ -1,9 +1,9 @@
-// The redesigned reporting API: drivers return a RunReport from run(), the
-// compiler exposes a CompileReport, and both (plus the bench harness) emit
-// one JSON schema:
+// The reporting API: drivers return a RunReport from run(), the compiler
+// exposes a CompileReport, and both (plus the bench harness) emit one JSON
+// schema, pfc-obs-report-v7 (kReportSchema):
 //
 //   {
-//     "schema":   "pfc-obs-report-v2",
+//     "schema":   "pfc-obs-report-v7",
 //     "kind":     "run" | "compile" | "bench",
 //     "name":     "<producer>",
 //     "timers":   { "<path>": {"seconds": s, "count": n}, ... },
@@ -11,69 +11,38 @@
 //     "derived":  { "<stat>": x, ... }
 //   }
 //
-// v2 added two optional run-report sections (validated when present):
+// plus the sections below (validated when present):
 //
 //     "model_accuracy": { "<target>": {"predicted_seconds": p,
 //                                      "measured_seconds": m,
-//                                      "ratio": m/p}, ... }
-//     "health":         HealthStats::to_json() + "policy"
-//
-// where <target> is "kernel/<ir name>" (ECM prediction, paper Fig. 2) or
-// "exchange" (network model, Table 2).
-//
-// v3 adds the resilience accounting:
-//
-//     "resilience":     ResilienceStats::to_json() — checkpoints captured/
-//                       written, rollbacks, dt shrinks, injected faults,
-//                       restart provenance (run reports), and
-//     "backend_tier" / "fallback_reason" on compile reports — which rung of
-//     the JIT fallback chain (vector → scalar → interpreter) actually runs.
-//
-// v4 adds the communication-hiding accounting of the overlapped distributed
-// step (OverlapMode::InteriorFrontier):
-//
+//                                      "ratio": m/p}, ... } — <target> is
+//                       "kernel/<ir name>" (ECM prediction, paper Fig. 2)
+//                       or "exchange" (network model, Table 2).
+//     "health":         HealthStats::to_json() + "policy" (run reports).
+//     "resilience":     ResilienceStats::to_json() on every run report —
+//                       checkpoints captured/written, rollbacks, dt
+//                       shrinks, injected faults, restart provenance.
+//     "backend_tier" / "fallback_reason" on every compile report — which
+//                       rung of the JIT fallback chain (vector → scalar →
+//                       interpreter) actually runs.
 //     "overlap":        OverlapStats::to_json() — pack/wait/interior/
-//                       frontier seconds, interior/frontier cell counts,
-//                       and the netmodel-derived hidden-seconds /
-//                       hidden-fraction. Emitted only when the run
-//                       overlapped; synchronous runs stay v3-shaped (plus
-//                       the bumped schema string).
-//
-// v5 adds the kernel-cache provenance of a compile (pfc-jobspec-v1 /
-// pfc::serve era — the content-addressed shared-object cache):
-//
-//     "cache":          on compile reports whose JIT consulted the cache —
-//                       {"hit", "key", "hits", "misses", "evictions",
-//                        "bytes"}: whether *this* compile was served from
-//                       the cache, its SHA-256 content address, and the
-//                       process-wide cache counters after the request.
-//                       Uncached compiles omit the section.
-//
-// v6 adds the execution-resources accounting of the NUMA-aware threading
-// layer (DESIGN.md §11):
-//
+//                       frontier seconds, cell counts and the netmodel-
+//                       derived hidden fraction; only on runs that
+//                       overlapped (OverlapMode::InteriorFrontier).
+//     "cache":          on compile reports whose JIT consulted the kernel
+//                       cache — {"hit", "key", "hits", "misses",
+//                       "evictions", "bytes"}.
 //     "threading":      ThreadingStats::to_json() on every run report —
 //                       pool width, pin policy, dispatch mode, first-touch
-//                       placement, the topology the process saw (cpus/
-//                       cores/packages/numa_nodes after the affinity mask)
-//                       and the temporal-blocking decision (enabled, tile
-//                       rows, lookahead, fused stage/substep counts, sizing
-//                       rationale, modeled bytes-per-update with and
-//                       without fusion).
-//
-// v7 adds the measured-autotuning decision (perf/autotune.hpp):
-//
+//                       placement, the topology the process saw and the
+//                       temporal-blocking decision (DESIGN.md §11).
 //     "tuning":         TuningStats::to_json() on run reports whose driver
-//                       ran with tune != off — mode (cached/full), tuning-
-//                       cache key + hit/miss, machine signature, candidates
-//                       enumerated vs. measured, search seconds, the
-//                       winning configuration and the prior-vs-measured
-//                       ranking of every measured candidate. Untuned runs
-//                       omit the section (overlap-style).
+//                       ran with tune != off (perf/autotune.hpp).
 //
 // Producers may add extra keys (e.g. quickstart embeds its CompileReport
 // under "compile"); validators require only the six core sections. See
-// tools/report_check.cpp for the machine check run by ctest.
+// tools/report_check.cpp for the machine check run by ctest; it accepts
+// only the current schema, since no report is stored across revisions.
 #pragma once
 
 #include <array>
@@ -87,14 +56,6 @@
 namespace pfc::obs {
 
 inline constexpr const char* kReportSchema = "pfc-obs-report-v7";
-/// Previous schema revisions; validators still accept them for stored
-/// reports.
-inline constexpr const char* kReportSchemaV6 = "pfc-obs-report-v6";
-inline constexpr const char* kReportSchemaV5 = "pfc-obs-report-v5";
-inline constexpr const char* kReportSchemaV4 = "pfc-obs-report-v4";
-inline constexpr const char* kReportSchemaV3 = "pfc-obs-report-v3";
-inline constexpr const char* kReportSchemaV2 = "pfc-obs-report-v2";
-inline constexpr const char* kReportSchemaV1 = "pfc-obs-report-v1";
 
 /// Model-vs-measured drift of one prediction target: how long the
 /// performance model said a component should have taken over the whole run

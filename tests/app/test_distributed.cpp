@@ -7,7 +7,7 @@
 #include <cstdio>
 #include <set>
 
-#include "pfc/app/distributed.hpp"
+#include "pfc/app/simulation.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/obs/report.hpp"
 

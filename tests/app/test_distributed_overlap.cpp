@@ -8,7 +8,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "pfc/app/distributed.hpp"
+#include "pfc/app/simulation.hpp"
 #include "pfc/app/params.hpp"
 #include "pfc/obs/report.hpp"
 

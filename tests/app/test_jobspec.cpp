@@ -71,7 +71,6 @@ TEST(OptionsJson, EveryFieldSurvives) {
   opts.boundary = grid::BoundaryKind::ZeroGradient;
   opts.threads = 3;
   opts.time_scheme = TimeScheme::Heun;
-  opts.block_offset = {8, 16, 0};
   opts.compile.backend = Backend::Interpreter;
   opts.compile.split_phi = true;
   opts.compile.split_mu = true;
@@ -134,6 +133,26 @@ TEST(OptionsJson, UnknownKeyNamesThePath) {
     EXPECT_NE(std::string(e.what()).find("bogus_knob"), std::string::npos)
         << e.what();
   }
+}
+
+// Distributed runs step with Heun too; the scheme survives the codec.
+TEST(DriverOptionsJson, DistributedTimeSchemeRoundTrips) {
+  DistributedOptions o;
+  o.time_scheme = TimeScheme::Heun;
+  expect_roundtrip(o);
+  EXPECT_EQ(distributed_options_from_json(distributed_options_to_json(o),
+                                          "opts")
+                .time_scheme,
+            TimeScheme::Heun);
+}
+
+// A forest block carries its own global offset; the single-block options
+// have no such knob, so the strict decoder refuses it like any unknown key.
+TEST(DriverOptionsJson, BlockOffsetKeyRejected) {
+  Json j = simulation_options_to_json(SimulationOptions{});
+  j.set("block_offset", Json::array().push(Json(8.0)).push(Json(16.0))
+                            .push(Json(0.0)));
+  EXPECT_THROW(simulation_options_from_json(j, "opts"), Error);
 }
 
 TEST(OptionsJson, TypeMismatchNamesThePath) {

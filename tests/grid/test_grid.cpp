@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <fstream>
 #include <set>
 
@@ -208,6 +209,57 @@ TEST(GhostExchangeTest, ZeroGradientAtDomainWalls) {
   const Array& left = *view[0].array;
   EXPECT_DOUBLE_EQ(left.at(-1, 3, 0), left.at(0, 3, 0));  // wall
   EXPECT_DOUBLE_EQ(left.at(4, 3, 0), global_pattern(4, 3, 0, 0));  // seam
+}
+
+/// A one-block forest without a communicator is the node-level driver's
+/// layout: its exchange must give grid::fill_ghosts' bits in every ghost,
+/// corners and edges included.
+void expect_single_block_fill_bitwise(int dims, BoundaryKind kind,
+                                      int ghosts) {
+  const std::array<long long, 3> n{7, dims > 1 ? 5 : 1, dims > 2 ? 6 : 1};
+  BlockForest f(n, {1, 1, 1}, 1, dims, kind);
+  auto fld = Field::create("s", dims, 2);
+  const std::array<std::int64_t, 3> size{n[0], n[1], n[2]};
+  Array via_exchange(fld, size, ghosts), via_fill(fld, size, ghosts);
+  fill_global(via_exchange, f.blocks().front(), global_pattern);
+  fill_global(via_fill, f.blocks().front(), global_pattern);
+
+  GhostExchange ex(f, nullptr, 2, ghosts);
+  ex.exchange({{&f.blocks().front(), &via_exchange}}, 0);
+  fill_ghosts(via_fill, kind);
+  EXPECT_EQ(ex.last_bytes_sent(), 0u);
+
+  std::array<long long, 3> g{0, 0, 0};
+  for (int d = 0; d < dims; ++d) g[std::size_t(d)] = ghosts;
+  for (int c = 0; c < 2; ++c) {
+    for (long long z = -g[2]; z < n[2] + g[2]; ++z) {
+      for (long long y = -g[1]; y < n[1] + g[1]; ++y) {
+        for (long long x = -g[0]; x < n[0] + g[0]; ++x) {
+          const double a = via_exchange.at(x, y, z, c);
+          const double b = via_fill.at(x, y, z, c);
+          ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+              << dims << "-D cell (" << x << "," << y << "," << z
+              << ") c=" << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(SingleBlockForestFill, Periodic2D) {
+  expect_single_block_fill_bitwise(2, BoundaryKind::Periodic, 1);
+}
+
+TEST(SingleBlockForestFill, ZeroGradient2D) {
+  expect_single_block_fill_bitwise(2, BoundaryKind::ZeroGradient, 1);
+}
+
+TEST(SingleBlockForestFill, Periodic3DTwoGhostLayers) {
+  expect_single_block_fill_bitwise(3, BoundaryKind::Periodic, 2);
+}
+
+TEST(SingleBlockForestFill, ZeroGradient3D) {
+  expect_single_block_fill_bitwise(3, BoundaryKind::ZeroGradient, 1);
 }
 
 TEST(VtkTest, WritesValidHeader) {

@@ -152,6 +152,25 @@ TEST(ObsJsonTest, ParseRejectsMalformedInput) {
   EXPECT_FALSE(err.empty());
 }
 
+TEST(ObsJsonTest, ParseRejectsNestingBeyondTheDepthCap) {
+  // A million open brackets: an error, not a stack overflow.
+  std::string err;
+  const Json deep = Json::parse(std::string(1000000, '['), &err);
+  EXPECT_FALSE(err.empty());
+  EXPECT_EQ(deep.kind(), Json::Kind::Null);
+  EXPECT_NE(err.find("nesting"), std::string::npos) << err;
+
+  // Exactly at the cap still parses; one level more does not.
+  const auto nested = [](int levels) {
+    return std::string(std::size_t(levels), '[') +
+           std::string(std::size_t(levels), ']');
+  };
+  Json::parse(nested(kJsonMaxDepth), &err);
+  EXPECT_TRUE(err.empty()) << err;
+  Json::parse(nested(kJsonMaxDepth + 1), &err);
+  EXPECT_FALSE(err.empty());
+}
+
 TEST(ObsReportTest, RunReportJsonHasSharedSchema) {
   RunReport r;
   r.name = "test";

@@ -170,6 +170,40 @@ TEST(CheckpointRestart, RejectsLayoutMismatch) {
   EXPECT_THROW(app::Simulation(model, o), Error);
 }
 
+// Single-block checkpoints are written in the block-forest format
+// (forest layout signature, "phi/block0" arrays). A checkpoint in the
+// former single-block format must be refused by the layout check before
+// any array is read, never restored as if it matched.
+TEST(CheckpointRestart, RefusesFormerSingleBlockFormat) {
+  TempDir dir("legacy");
+  ASSERT_FALSE(dir.path.empty());
+  const app::GrandChemModel model = noisy_model();
+  const app::GrandChemParams& p = model.params();
+  Array phi(model.phi_src(), {32, 32, 1}, 1);
+  Array mu(model.mu_src(), {32, 32, 1}, 1);
+  phi.fill(0.25);
+  resilience::CheckpointMeta meta;
+  meta.step = 10;
+  meta.time = 10 * p.dt;
+  meta.dt = p.dt;
+  meta.rng_seed = p.rng_seed;
+  meta.layout = "cells=32x32x1;dims=2;phases=" + std::to_string(p.phases) +
+                ";mu=" + std::to_string(p.num_mu()) +
+                ";boundary=zerogradient;blocks=1";
+  resilience::write_checkpoint(dir.path, meta, {{"phi", &phi}, {"mu", &mu}});
+
+  app::SimulationOptions o = noisy_opts(1);
+  o.with_resilience(resilience::ResilienceOptions{}.with_restart(dir.path));
+  try {
+    app::Simulation sim(model, o);
+    FAIL() << "a former-format checkpoint must not restore";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("layout mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(CheckpointRestart, ChecksumCatchesBitFlip) {
   TempDir dir("sum");
   ASSERT_FALSE(dir.path.empty());

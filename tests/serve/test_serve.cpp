@@ -15,6 +15,7 @@
 #include "pfc/app/jobspec.hpp"
 #include "pfc/backend/kernel_cache.hpp"
 #include "pfc/serve/server.hpp"
+#include "pfc/serve/transport.hpp"
 
 #include "serve_testutil.hpp"
 
@@ -326,6 +327,44 @@ TEST(Serve, FailedJobReportsErrorAndServerSurvives) {
   ASSERT_EQ(statuses.size(), 1u);
   EXPECT_EQ(statuses[0].state, "failed");
   EXPECT_FALSE(statuses[0].error.empty());
+  server.stop();
+}
+
+// One protocol line of a million '[' used to recurse the JSON parser off
+// the stack and kill the daemon; the depth cap turns it into a protocol
+// error on that connection only.
+TEST(Serve, DeeplyNestedLineDoesNotKillDaemon) {
+  TempDir tmp;
+  ServeOptions opts;
+  opts.socket_path = tmp.path + "/serve.sock";
+  opts.workers = 1;
+  opts.quiet = true;
+  JobServer server(opts);
+  server.start();
+  {
+    Endpoint ep;
+    ep.kind = Endpoint::Kind::Unix;
+    ep.path = opts.socket_path;
+    const int fd = connect_endpoint(ep);
+    LineChannel conn(fd);
+    const std::string line = std::string(1000000, '[') + "\n";
+    std::size_t off = 0;
+    while (off < line.size()) {
+      const ssize_t n = ::write(fd, line.data() + off, line.size() - off);
+      if (n <= 0) break;  // the daemon may drop us once it saw the line
+      off += std::size_t(n);
+    }
+    Json reply;
+    try {
+      reply = conn.read_json();
+    } catch (const std::exception&) {
+      // a reset connection is as good as a closed one
+    }
+    EXPECT_FALSE(reply.is_object())
+        << "a nested-bracket line must not be answered as a request";
+  }
+  Client client(opts.socket_path);
+  EXPECT_EQ(field(client.ping(), "event").str(), "pong");
   server.stop();
 }
 

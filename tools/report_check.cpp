@@ -1,5 +1,5 @@
 // Validates a pfc-obs report JSON file against the shared schema
-// (pfc-obs-report-v6; stored v5/v4/v3/v2 reports are still accepted),
+// (pfc-obs-report-v7 only — no report is stored across revisions),
 // including the optional model_accuracy (ECM/netmodel drift), health,
 // resilience, overlap (communication-hiding phase split), cache
 // (kernel-cache provenance) and threading (execution resources) sections.
@@ -22,17 +22,17 @@
 // vectorization decision visible in every report funnel.
 //
 // With --require-overlap the report must carry an enabled "overlap"
-// section (v4): the interior/frontier phase timers of a communication-
+// section: the interior/frontier phase timers of a communication-
 // hiding run. Its internal consistency (hidden_fraction in [0, 1], cell
 // counts tiling the local lattice) is validated whenever the section is
 // present, flag or not.
 //
 // With --require-cache the compile report (top-level or embedded under
-// "compile") must carry the v5 "cache" section: kernel-cache provenance
+// "compile") must carry the "cache" section: kernel-cache provenance
 // (hit flag, 64-hex content key, process-wide hit/miss/evict/byte
 // counters). The section is structurally validated whenever present.
 //
-// With --require-threading the run report must carry the v6 "threading"
+// With --require-threading the run report must carry the "threading"
 // section (pool width >= 1, pinning/dispatch policy, first-touch flag and
 // the temporal-blocking decision). The section is structurally validated
 // whenever present, flag or not.
@@ -309,7 +309,7 @@ void check_vector_width(const pfc::obs::Json& j) {
   }
 }
 
-/// "overlap" section (v4): phase timers and cell counts of the
+/// "overlap" section: phase timers and cell counts of the
 /// interior/frontier communication-hiding split. `local_cells` (from
 /// derived/cells_per_step, 0 if absent) pins the decomposition: interior
 /// and frontier must tile the rank's per-step lattice exactly.
@@ -346,7 +346,7 @@ void check_overlap(const pfc::obs::Json& o, double local_cells) {
   }
 }
 
-/// "threading" section (v6): execution resources of a run — pool width,
+/// "threading" section: execution resources of a run — pool width,
 /// placement policy and the temporal-blocking decision.
 void check_threading(const pfc::obs::Json& t) {
   if (!t.is_object()) {
@@ -407,7 +407,7 @@ void check_threading(const pfc::obs::Json& t) {
   }
 }
 
-/// "tuning" section (v7): measured-autotuning decision of a run — mode,
+/// "tuning" section: measured-autotuning decision of a run — mode,
 /// cache identity, search cost and the prior-vs-measured ranking.
 void check_tuning(const pfc::obs::Json& t) {
   if (!t.is_object()) {
@@ -491,7 +491,7 @@ void check_tuning(const pfc::obs::Json& t) {
   }
 }
 
-/// "cache" section (v5): kernel-cache provenance of a compile report.
+/// "cache" section: kernel-cache provenance of a compile report.
 void check_cache(const pfc::obs::Json& c) {
   if (!c.is_object()) {
     fail("cache must be an object");
@@ -958,24 +958,11 @@ int main(int argc, char** argv) {
   }
   if (g_errors) return 1;
 
-  const bool is_v7 = j.find("schema")->is_string() &&
-                     j.find("schema")->str() == pfc::obs::kReportSchema;
-  const bool is_v6 = j.find("schema")->is_string() &&
-                     j.find("schema")->str() == pfc::obs::kReportSchemaV6;
-  const bool is_v5 = j.find("schema")->is_string() &&
-                     j.find("schema")->str() == pfc::obs::kReportSchemaV5;
-  const bool is_v4 = j.find("schema")->is_string() &&
-                     j.find("schema")->str() == pfc::obs::kReportSchemaV4;
-  const bool is_v3 = j.find("schema")->is_string() &&
-                     j.find("schema")->str() == pfc::obs::kReportSchemaV3;
-  const bool is_v2 = j.find("schema")->is_string() &&
-                     j.find("schema")->str() == pfc::obs::kReportSchemaV2;
-  if (!is_v7 && !is_v6 && !is_v5 && !is_v4 && !is_v3 && !is_v2) {
-    fail(std::string("schema must be \"") + pfc::obs::kReportSchema +
-         "\" (or the stored \"" + pfc::obs::kReportSchemaV6 + "\" / \"" +
-         pfc::obs::kReportSchemaV5 + "\" / \"" + pfc::obs::kReportSchemaV4 +
-         "\" / \"" + pfc::obs::kReportSchemaV3 + "\" / \"" +
-         pfc::obs::kReportSchemaV2 + "\")");
+  // Every emitter writes the current schema and no report is stored
+  // across revisions, so only the current one is accepted.
+  if (!j.find("schema")->is_string() ||
+      j.find("schema")->str() != pfc::obs::kReportSchema) {
+    fail(std::string("schema must be \"") + pfc::obs::kReportSchema + '"');
   }
   const pfc::obs::Json& kind = *j.find("kind");
   if (!kind.is_string() || (kind.str() != "run" && kind.str() != "compile" &&
@@ -1022,7 +1009,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // v2 sections (optional: run reports always carry health; compile/bench
+  // Optional sections (run reports always carry health; compile/bench
   // reports may omit both)
   if (const pfc::obs::Json* ma = j.find("model_accuracy")) {
     if (!ma->is_object()) {
@@ -1064,7 +1051,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // v3 sections: run reports carry "resilience", compile reports carry the
+  // Run reports carry "resilience", compile reports carry the
   // backend tier of the degradation chain
   if (const pfc::obs::Json* r = j.find("resilience")) {
     if (!r->is_object()) {
@@ -1086,9 +1073,8 @@ int main(int argc, char** argv) {
         fail("resilience/restarted must be a bool");
       }
     }
-  } else if ((is_v7 || is_v6 || is_v5 || is_v4 || is_v3) && kind.is_string() &&
-             kind.str() == "run") {
-    fail("v3+ run reports must carry a \"resilience\" section");
+  } else if (kind.is_string() && kind.str() == "run") {
+    fail("run reports must carry a \"resilience\" section");
   }
   if (const pfc::obs::Json* tier = j.find("backend_tier")) {
     if (!tier->is_string() ||
@@ -1102,18 +1088,13 @@ int main(int argc, char** argv) {
     } else {
       check_finite_nonneg(*attempts, "fallback_attempts");
     }
-  } else if ((is_v7 || is_v6 || is_v5 || is_v4 || is_v3) && kind.is_string() &&
-             kind.str() == "compile") {
-    fail("v3+ compile reports must carry \"backend_tier\"");
+  } else if (kind.is_string() && kind.str() == "compile") {
+    fail("compile reports must carry \"backend_tier\"");
   }
 
-  // v4 section: overlap phase split of a communication-hiding run. Older
-  // schemas never wrote it, so its presence pins the report to v4.
+  // Overlap phase split of a communication-hiding run.
   const pfc::obs::Json* overlap = j.find("overlap");
   if (overlap != nullptr) {
-    if (!is_v7 && !is_v6 && !is_v5 && !is_v4) {
-      fail("\"overlap\" section requires the v4 schema");
-    }
     const pfc::obs::Json* cps =
         derived.is_object() ? derived.find("cells_per_step") : nullptr;
     check_overlap(*overlap,
@@ -1132,7 +1113,7 @@ int main(int argc, char** argv) {
 
   if (require_vector_width) check_vector_width(j);
 
-  // v5 section: kernel-cache provenance of a compile report. Run reports
+  // Kernel-cache provenance of a compile report. Run reports
   // embed their compile report under "compile" (as quickstart writes it).
   const pfc::obs::Json* cache = j.find("cache");
   if (cache == nullptr) {
@@ -1141,26 +1122,20 @@ int main(int argc, char** argv) {
     }
   }
   if (cache != nullptr) {
-    if (!is_v7 && !is_v6 && !is_v5) {
-      fail("\"cache\" section requires the v5 schema");
-    }
     check_cache(*cache);
   } else if (require_cache) {
     fail("--require-cache: report carries no \"cache\" section (checked "
          "top-level and embedded \"compile\" report)");
   }
 
-  // v6 section: execution resources of a run (pool width, pinning policy,
-  // first-touch placement, temporal-blocking decision). Mandatory on v6
-  // run reports; compile/bench reports never carry it.
+  // Execution resources of a run (pool width, pinning policy, first-touch
+  // placement, temporal-blocking decision). Mandatory on run reports;
+  // compile/bench reports never carry it.
   const pfc::obs::Json* threading = j.find("threading");
   if (threading != nullptr) {
-    if (!is_v7 && !is_v6) {
-      fail("\"threading\" section requires the v6 schema");
-    }
     check_threading(*threading);
-  } else if ((is_v7 || is_v6) && kind.is_string() && kind.str() == "run") {
-    fail("v6+ run reports must carry a \"threading\" section");
+  } else if (kind.is_string() && kind.str() == "run") {
+    fail("run reports must carry a \"threading\" section");
   }
   if (require_threading) {
     if (threading == nullptr) {
@@ -1174,11 +1149,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // v7 section: the measured-autotuning decision. Optional (runs with
-  // tune = off never write it); its presence pins the report to v7.
+  // The measured-autotuning decision. Optional (runs with tune = off never
+  // write it).
   const pfc::obs::Json* tuning = j.find("tuning");
   if (tuning != nullptr) {
-    if (!is_v7) fail("\"tuning\" section requires the v7 schema");
     check_tuning(*tuning);
   } else if (require_tuning) {
     fail("--require-tuning: report carries no \"tuning\" section");
