@@ -162,35 +162,6 @@ int main() {
     derived["model_phi_full_t" + std::to_string(t) + "_mlups"] = modeled;
   }
 
-  // --- temporal-blocking axis: fused wavefront vs reference order ---
-  // 3-D (the models here are dims=3) with enough outer-axis rows that both
-  // workers' slabs clear the wavefront prologue; the tile height is forced
-  // so the axis also runs on cache-less containers.
-  {
-    const std::array<long long, 3> c3d{40, 40, 24};
-    app::SimulationOptions unfused;
-    unfused.threads = 2;
-    unfused.dispatch = app::Dispatch::Static;
-    app::SimulationOptions fused = unfused;
-    fused.blocking = app::BlockingMode::Fixed;
-    fused.blocking_tile_rows = 4;
-    const obs::RunReport r_ref = run_sim(Which::PhiP1, true, 4, c3d, unfused);
-    const obs::RunReport r_wf = run_sim(Which::PhiP1, true, 4, c3d, fused);
-    const double speedup = obs::safe_rate(r_wf.mlups(), r_ref.mlups());
-    std::printf("\nblocking axis (3-D, tile 4): unfused %.2f MLUP/s, "
-                "wavefront %.2f MLUP/s (%.2fx), fused substeps %lld\n",
-                r_ref.mlups(), r_wf.mlups(), speedup,
-                r_wf.threading.fused_substeps);
-    derived["measured_blocking_unfused_mlups"] = r_ref.mlups();
-    derived["measured_blocking_wavefront_mlups"] = r_wf.mlups();
-    derived["measured_blocking_speedup"] = speedup;
-    derived["blocking_fused_substeps"] = double(r_wf.threading.fused_substeps);
-    derived["blocking_bytes_per_update_unfused"] =
-        r_wf.threading.bytes_per_update_unfused;
-    derived["blocking_bytes_per_update_fused"] =
-        r_wf.threading.bytes_per_update_fused;
-  }
-
   write_bench_report(
       "fig2_ecm_phi",
       bench_report_json("fig2_ecm_phi", derived,

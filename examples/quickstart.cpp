@@ -6,7 +6,6 @@
 //                [--checkpoint-every=N] [--checkpoint-dir=DIR]
 //                [--restart[=DIR]] [--jobspec=FILE]
 //                [--threads=N] [--pin=none|compact|scatter]
-//                [--blocking=off|auto|N]
 //                [output.vtk] [report.json] [bursts]
 //
 // --trace records a chrome://tracing span timeline (per-kernel, per-slab
@@ -20,9 +19,7 @@
 // --jobspec runs a pfc-jobspec-v1 file through the same engine the serve
 // daemon uses (app::run_job) and writes its result JSON instead.
 // --threads sets the worker-pool width (default 4); --pin binds workers to
-// CPUs (compact fills a package first, scatter round-robins NUMA nodes);
-// --blocking fuses the φ/µ sweeps over wavefront tiles — "auto" sizes the
-// tile from the layer-condition model, a number forces that tile height.
+// CPUs (compact fills a package first, scatter round-robins NUMA nodes).
 // See "Running on a full socket" in the README.
 #include <cmath>
 #include <cstdio>
@@ -68,8 +65,6 @@ int main(int argc, char** argv) {
   std::string jobspec_path;
   long long threads = 4;
   support::PinPolicy pin = support::PinPolicy::None;
-  app::BlockingMode blocking = app::BlockingMode::Off;
-  long long blocking_tile = 0;
 
   support::ArgParser args(
       "quickstart",
@@ -79,8 +74,7 @@ int main(int argc, char** argv) {
       "[--restart[=DIR]]\n"
       "           [--jobspec=FILE] [--threads=N] "
       "[--pin=none|compact|scatter]\n"
-      "           [--blocking=off|auto|N] "
-      "[output.vtk] [report.json] [bursts]");
+      "           [output.vtk] [report.json] [bursts]");
   args.on_optional_value("trace", [&](const std::string* v) {
     trace = true;
     if (v != nullptr) trace_path = *v;
@@ -99,16 +93,6 @@ int main(int argc, char** argv) {
   args.count("threads", &threads);
   args.on_value("pin", [&](const std::string& v) {
     pin = support::parse_pin_policy(v);
-  });
-  args.on_value("blocking", [&](const std::string& v) {
-    if (v == "off") {
-      blocking = app::BlockingMode::Off;
-    } else if (v == "auto") {
-      blocking = app::BlockingMode::Auto;
-    } else {
-      blocking = app::BlockingMode::Fixed;
-      blocking_tile = support::parse_count(v.c_str(), "blocking");
-    }
   });
   const std::vector<const char*> pos = args.parse(argc, argv);
   if (threads < 1) args.fail("--threads must be >= 1");
@@ -209,7 +193,6 @@ int main(int argc, char** argv) {
   auto opts = app::SimulationOptions{}.with_cells(128, 128)
                   .with_threads(int(threads))
                   .with_pin(pin)
-                  .with_blocking(blocking, blocking_tile)
                   .with_health(health);
   if (trace) {
     opts.with_trace(obs::TraceOptions{}.enable().with_path(trace_path));
@@ -259,10 +242,8 @@ int main(int argc, char** argv) {
   }
   std::printf("kernel throughput: %.2f MLUP/s over %lld steps\n",
               report.mlups(), report.steps);
-  std::printf("threads: %lld (pin %s) | blocking: %s — %s\n", threads,
-              support::pin_policy_name(pin),
-              sim.blocking_active() ? "wavefront" : "off",
-              sim.blocking_plan().reason.c_str());
+  std::printf("threads: %lld (pin %s)\n", threads,
+              support::pin_policy_name(pin));
 
   grid::write_vtk(vtk_path, {&sim.phi()});
 

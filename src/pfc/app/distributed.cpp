@@ -189,71 +189,17 @@ long long DistributedSimulation::local_cells() const {
 
 void DistributedSimulation::setup_schedule() {
   slab_plan_ = SlabPlan{};
-  wavefront_ = WavefrontSchedule{};
-  blocking_ = perf::BlockingPlan{};
   compute_overlap_regions();
   if (locals_.empty()) return;
-  LocalBlock& lb = *locals_.front();
-  const std::array<long long, 3>& n = lb.block->size;
   const int dims = model_.params().dims;
-  const long long n_outer = n[std::size_t(dims - 1)];
+  const long long n_outer =
+      locals_.front()->block->size[std::size_t(dims - 1)];
   const int nt = pool_ != nullptr ? pool_->num_threads() : 1;
   // In 1-D the slab axis is the vectorized axis: keep boundaries aligned
   // so the static launches match parallel_for's chunk rounding bitwise.
   const int align =
       dims == 1 ? std::max(1, compiled_.compile_report().vector_width) : 1;
   slab_plan_ = SlabPlan::make(0, n_outer, nt, align);
-
-  // The fused schedule fills ghosts in place between tiles, which is only
-  // the exchange when every ghost is a local boundary fill.
-  if (forest_.blocks().size() != 1 || comm_ != nullptr) {
-    blocking_.reason =
-        "temporal blocking needs the forest's only block and no "
-        "communicator (every ghost a local fill)";
-    return;
-  }
-  if (node_.blocking == BlockingMode::Off) {
-    blocking_.reason = "temporal blocking not requested";
-    return;
-  }
-  std::vector<const CompiledKernel*> chain;
-  std::vector<const ir::Kernel*> irs;
-  for (const auto& ck : compiled_.phi_kernels) chain.push_back(&ck);
-  for (const auto& ck : compiled_.mu_kernels) chain.push_back(&ck);
-  for (const CompiledKernel* ck : chain) irs.push_back(&ck->ir);
-  WavefrontSchedule ws =
-      build_wavefront(chain, dims, /*ghost=*/1,
-                      [&](std::uint64_t id) { return array_of(lb, id); });
-  if (!ws.valid()) {
-    blocking_.reason =
-        "no fusable wavefront schedule (1-D chain, or a domain-edge "
-        "prologue stage reads a mid-chain ghosted field)";
-    return;
-  }
-  blocking_ = perf::blocking_plan(irs, n, opts_.machine, nt, ws.span,
-                                  /*ghost=*/1);
-  if (node_.blocking == BlockingMode::Fixed) {
-    blocking_.enabled = node_.blocking_tile_rows > 0;
-    blocking_.tile_rows = node_.blocking_tile_rows;
-    blocking_.reason = blocking_.enabled
-                           ? "fixed tile height requested"
-                           : "BlockingMode::Fixed needs tile_rows > 0";
-  }
-  if (!blocking_.enabled) return;
-  // Prologue strips of adjacent workers must not overlap — decline fusion
-  // (rather than racing) when a slab is too thin.
-  for (int w = 0; w < nt; ++w) {
-    const auto [lo, hi] = slab_plan_.slab(w, 0, n_outer);
-    if (hi - lo < ws.min_slab_rows) {
-      blocking_.enabled = false;
-      blocking_.reason = "worker slab of " + std::to_string(hi - lo) +
-                         " rows is thinner than the " +
-                         std::to_string(ws.min_slab_rows) +
-                         " the wavefront prologue needs";
-      return;
-    }
-  }
-  wavefront_ = std::move(ws);
 }
 
 void DistributedSimulation::compute_overlap_regions() {
@@ -480,46 +426,8 @@ void DistributedSimulation::sweep_overlapped(
   }
 }
 
-void DistributedSimulation::sweep_fused(double t, StepCost& cost) {
-  obs::TraceRecorder* tr = trace_this_step_ ? &tracer_ : nullptr;
-  LocalBlock& lb = *locals_.front();
-  WavefrontRun wr;
-  wr.schedule = &wavefront_;
-  for (const auto& st : wavefront_.stages) {
-    wr.bindings.push_back(bind(st.kernel->ir, lb));
-  }
-  wr.cells = lb.block->size;
-  wr.t = t;
-  wr.t_step = step_;
-  wr.pool = pool_.get();
-  wr.plan = &slab_plan_;
-  wr.boundary = opts_.boundary;
-  wr.tile_rows = blocking_.tile_rows;
-  const double ts = tr != nullptr ? tr->now_us() : 0.0;
-  Timer timer;
-  const std::vector<double> stage_seconds = run_wavefront(wr);
-  if (tr != nullptr) {
-    tr->complete("wavefront", "kernel", ts, timer.seconds() * 1e6, step_,
-                 lb.block->linear_id);
-  }
-  double block_s = 0.0;
-  for (std::size_t j = 0; j < wavefront_.stages.size(); ++j) {
-    reg_.add_time("kernel/" + wavefront_.stages[j].kernel->ir.name,
-                  stage_seconds[j]);
-    block_s += stage_seconds[j];
-  }
-  reg_.add_time("block/" + std::to_string(lb.block->linear_id), block_s);
-  cost.kernel_seconds += block_s;
-  ++fused_substeps_;
-  // φ_dst ghosts were completed inside the schedule (transverse per row
-  // band, outer axis at the barrier); only µ_dst still needs its fill.
-  exchange_field(&LocalBlock::mu_dst, /*tag=*/3, &cost);
-}
-
 void DistributedSimulation::substep(double t, StepCost& cost) {
-  if (blocking_active()) {
-    sweep_fused(t, cost);
-  } else if (opts_.overlap == OverlapMode::InteriorFrontier) {
+  if (opts_.overlap == OverlapMode::InteriorFrontier) {
     sweep_overlapped(compiled_.phi_kernels, phi_regions_,
                      &LocalBlock::phi_dst, /*tag=*/2, t, cost);
     sweep_overlapped(compiled_.mu_kernels, mu_regions_, &LocalBlock::mu_dst,
@@ -716,14 +624,6 @@ obs::RunReport DistributedSimulation::report() const {
   r.threading.cores = topology_[1];
   r.threading.packages = topology_[2];
   r.threading.numa_nodes = topology_[3];
-  r.threading.blocking_enabled = blocking_active();
-  r.threading.blocking_tile_rows = blocking_.tile_rows;
-  r.threading.blocking_lookahead = blocking_.lookahead;
-  r.threading.fused_stages = int(wavefront_.stages.size());
-  r.threading.fused_substeps = fused_substeps_;
-  r.threading.blocking_reason = blocking_.reason;
-  r.threading.bytes_per_update_unfused = blocking_.bytes_per_update_unfused;
-  r.threading.bytes_per_update_fused = blocking_.bytes_per_update_fused;
   // fill_model_accuracy derives hidden_seconds/hidden_fraction from the
   // overlap phase timers and the netmodel comm prediction.
   const long long cells_per_launch =

@@ -12,7 +12,7 @@
 // generated and JIT-compiled once per rank and shared across its blocks.
 // A node-level run is a forest with one block and no communicator — the
 // Simulation facade (simulation.hpp) — where the exchange degenerates to
-// in-place boundary fills and the fused wavefront schedule becomes legal.
+// in-place boundary fills.
 #pragma once
 
 #include <functional>
@@ -22,10 +22,8 @@
 
 #include "pfc/app/options.hpp"
 #include "pfc/app/progress.hpp"
-#include "pfc/app/wavefront.hpp"
 #include "pfc/grid/ghost_exchange.hpp"
 #include "pfc/obs/report.hpp"
-#include "pfc/perf/blocking.hpp"
 #include "pfc/resilience/checkpoint.hpp"
 #include "pfc/support/topology.hpp"
 
@@ -126,12 +124,6 @@ class DistributedSimulation {
   /// Checkpoint/rollback accounting of this rank.
   const obs::ResilienceStats& resilience_stats() const { return res_stats_; }
 
-  /// The temporal-blocking decision (sized tile, or why it is off).
-  const perf::BlockingPlan& blocking_plan() const { return blocking_; }
-  /// True when steps run the fused wavefront schedule.
-  bool blocking_active() const {
-    return blocking_.enabled && wavefront_.valid();
-  }
   /// The rank's pool (null when threads == 1).
   const ThreadPool* pool() const { return pool_.get(); }
 
@@ -156,8 +148,6 @@ class DistributedSimulation {
     support::PinPolicy pin = support::PinPolicy::None;
     bool first_touch = true;
     Dispatch dispatch = Dispatch::Static;
-    BlockingMode blocking = BlockingMode::Off;
-    long long blocking_tile_rows = 0;
   };
 
   DistributedSimulation(GrandChemModel model, const DistributedOptions& opts,
@@ -213,14 +203,12 @@ class DistributedSimulation {
                         const std::vector<KernelRegions>& regions,
                         Array LocalBlock::*dst, int tag, double t,
                         StepCost& cost);
-  /// Fused (wavefront) φ/µ sweep of the single local block.
-  void sweep_fused(double t, StepCost& cost);
   /// Exchanges one field's ghosts; a non-null `cost` times and traces the
   /// round as step work (init/restore/rollback refreshes are untimed).
   void exchange_field(Array LocalBlock::*member, int tag, StepCost* cost);
 
-  /// (Re)derives the slab plan, wavefront schedule, blocking decision and
-  /// overlap regions from the compiled kernels (ctor and rebuild_with_dt).
+  /// (Re)derives the slab plan and overlap regions from the compiled
+  /// kernels (ctor and rebuild_with_dt).
   void setup_schedule();
   void compute_overlap_regions();
 
@@ -258,12 +246,9 @@ class DistributedSimulation {
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<LocalBlock>> locals_;
   grid::GhostExchange exchange_;
-  /// Static outer-axis slab ownership of a block, shared by first-touch,
-  /// every kernel launch (Dispatch::Static) and the wavefront schedule.
+  /// Static outer-axis slab ownership of a block, shared by first-touch
+  /// and every kernel launch (Dispatch::Static).
   SlabPlan slab_plan_;
-  WavefrontSchedule wavefront_;
-  perf::BlockingPlan blocking_;
-  long long fused_substeps_ = 0;
   /// Per-kernel interior/frontier decomposition, parallel to
   /// compiled_.phi_kernels / mu_kernels (empty when overlap is Off).
   std::vector<KernelRegions> phi_regions_, mu_regions_;

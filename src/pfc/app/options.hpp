@@ -33,13 +33,6 @@ enum class Dispatch {
   Static,
 };
 
-/// Temporal-blocking (wavefront) schedule of the fused φ/µ substep.
-enum class BlockingMode {
-  Off,   ///< reference order: φ sweep, fill, µ sweep, fill
-  Auto,  ///< fuse with perf::blocking_plan-sized tiles when profitable
-  Fixed, ///< fuse with a caller-chosen tile height (blocking_tile_rows)
-};
-
 struct DomainOptions {
   /// Interior cells. For distributed runs this is the *global* domain; the
   /// block forest decomposes it.

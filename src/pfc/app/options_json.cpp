@@ -9,11 +9,9 @@ namespace pfc::app {
 
 using obs::Json;
 
-namespace {
-
 // --- strict readers ----------------------------------------------------------
-// from_json tolerates absent keys (they keep the default) but rejects
-// unknown keys and type mismatches, naming the full path in the error.
+
+namespace strict {
 
 [[noreturn]] void bad(const std::string& where, const std::string& msg) {
   throw Error("jobspec: " + where + ": " + msg);
@@ -67,6 +65,12 @@ std::string read_str(const Json& j, const char* key, const std::string& def,
   if (!v->is_string()) bad(where + "." + key, "expected a string");
   return v->str();
 }
+
+}  // namespace strict
+
+namespace {
+
+using namespace strict;
 
 template <typename T, std::size_t N>
 std::array<T, N> read_array(const Json& j, const char* key,
@@ -160,21 +164,6 @@ TuneMode parse_tune_mode(const std::string& name) {
   if (name == "cached") return TuneMode::Cached;
   if (name == "full") return TuneMode::Full;
   throw Error("unknown tune mode \"" + name + "\" (valid: off, cached, full)");
-}
-
-const char* blocking_mode_name(BlockingMode m) {
-  switch (m) {
-    case BlockingMode::Auto: return "auto";
-    case BlockingMode::Fixed: return "fixed";
-    default: return "off";
-  }
-}
-BlockingMode parse_blocking_mode(const std::string& name) {
-  if (name == "off") return BlockingMode::Off;
-  if (name == "auto") return BlockingMode::Auto;
-  if (name == "fixed") return BlockingMode::Fixed;
-  throw Error("unknown blocking mode \"" + name +
-              "\" (valid: off, auto, fixed)");
 }
 
 // --- compile -----------------------------------------------------------------
@@ -465,9 +454,7 @@ Json simulation_options_to_json(const SimulationOptions& o) {
       .set("time_scheme", Json(time_scheme_name(o.time_scheme)))
       .set("pin", Json(support::pin_policy_name(o.pin)))
       .set("first_touch", Json(o.first_touch))
-      .set("dispatch", Json(dispatch_name(o.dispatch)))
-      .set("blocking", Json(blocking_mode_name(o.blocking)))
-      .set("blocking_tile_rows", Json(double(o.blocking_tile_rows)));
+      .set("dispatch", Json(dispatch_name(o.dispatch)));
 }
 
 SimulationOptions simulation_options_from_json(const Json& j,
@@ -475,9 +462,7 @@ SimulationOptions simulation_options_from_json(const Json& j,
   require_object(j, where);
   std::vector<const char*> allowed(kDomainKeys);
   allowed.insert(allowed.end(),
-                 {"threads", "time_scheme", "pin",
-                  "first_touch", "dispatch", "blocking",
-                  "blocking_tile_rows"});
+                 {"threads", "time_scheme", "pin", "first_touch", "dispatch"});
   check_keys(j, allowed, where);
   SimulationOptions o;
   domain_from_json(j, o, where);
@@ -490,13 +475,6 @@ SimulationOptions simulation_options_from_json(const Json& j,
   o.first_touch = read_bool(j, "first_touch", o.first_touch, where);
   o.dispatch = parse_dispatch(
       read_str(j, "dispatch", dispatch_name(o.dispatch), where));
-  o.blocking = parse_blocking_mode(
-      read_str(j, "blocking", blocking_mode_name(o.blocking), where));
-  o.blocking_tile_rows = read_int(j, "blocking_tile_rows",
-                                  o.blocking_tile_rows, where);
-  if (o.blocking_tile_rows < 0) {
-    bad(where + ".blocking_tile_rows", "must be >= 0");
-  }
   return o;
 }
 

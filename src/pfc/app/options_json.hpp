@@ -50,6 +50,24 @@ obs::Json distributed_options_to_json(const DistributedOptions& o);
 DistributedOptions distributed_options_from_json(
     const obs::Json& j, const std::string& where = "distributed");
 
+// --- strict readers (shared with the jobspec codec) --------------------------
+// from_json tolerates absent keys (they keep the default) but rejects
+// unknown keys and type mismatches, naming the full path in the error.
+namespace strict {
+[[noreturn]] void bad(const std::string& where, const std::string& msg);
+void require_object(const obs::Json& j, const std::string& where);
+void check_keys(const obs::Json& j, const std::vector<const char*>& allowed,
+                const std::string& where);
+double read_num(const obs::Json& j, const char* key, double def,
+                const std::string& where);
+long long read_int(const obs::Json& j, const char* key, long long def,
+                   const std::string& where);
+bool read_bool(const obs::Json& j, const char* key, bool def,
+               const std::string& where);
+std::string read_str(const obs::Json& j, const char* key,
+                     const std::string& def, const std::string& where);
+}  // namespace strict
+
 // --- enum spellings (shared with the jobspec and the CLI flags) --------------
 const char* backend_name(Backend b);
 Backend parse_backend(const std::string& name);
@@ -63,7 +81,5 @@ const char* dispatch_name(Dispatch d);
 Dispatch parse_dispatch(const std::string& name);
 const char* tune_mode_name(TuneMode m);
 TuneMode parse_tune_mode(const std::string& name);
-const char* blocking_mode_name(BlockingMode m);
-BlockingMode parse_blocking_mode(const std::string& name);
 
 }  // namespace pfc::app

@@ -30,8 +30,7 @@ double interface_profile(double signed_distance, double width) {
 
 Simulation::Simulation(GrandChemModel model, const SimulationOptions& opts)
     : driver_(std::move(model), single_block(opts), /*comm=*/nullptr,
-              {opts.pin, opts.first_touch, opts.dispatch, opts.blocking,
-               opts.blocking_tile_rows},
+              {opts.pin, opts.first_touch, opts.dispatch},
               "simulation") {}
 
 }  // namespace pfc::app

@@ -2,9 +2,8 @@
 // facade over the block-forest driver (distributed.hpp) on a 1×1×1 forest,
 // so examples, physics tests and kernel benchmarks run exactly the step
 // loop a distributed run does — Algorithm 1 with the ghost exchange
-// reduced to in-place boundary fills — plus the node-level schedules that
-// need the whole domain in one block: static slab dispatch over a pinned
-// pool, first-touch placement and the fused wavefront substep.
+// reduced to in-place boundary fills — plus the node-level knobs: the
+// pinning policy of the pool, first-touch placement and slab dispatch.
 #pragma once
 
 #include "pfc/app/distributed.hpp"
@@ -21,9 +20,6 @@ struct SimulationOptions : DomainSetters<SimulationOptions> {
   /// dispatch below it is free, and harmless on single-node-memory boxes.
   bool first_touch = true;
   Dispatch dispatch = Dispatch::Static;
-  BlockingMode blocking = BlockingMode::Off;
-  /// Tile height for BlockingMode::Fixed (rows along the outer axis).
-  long long blocking_tile_rows = 0;
 
   SimulationOptions& with_threads(int t) {
     threads = t;
@@ -31,11 +27,6 @@ struct SimulationOptions : DomainSetters<SimulationOptions> {
   }
   SimulationOptions& with_pin(support::PinPolicy p) {
     pin = p;
-    return *this;
-  }
-  SimulationOptions& with_blocking(BlockingMode m, long long tile_rows = 0) {
-    blocking = m;
-    blocking_tile_rows = tile_rows;
     return *this;
   }
 };
@@ -84,10 +75,6 @@ class Simulation {
     return driver_.resilience_stats();
   }
 
-  const perf::BlockingPlan& blocking_plan() const {
-    return driver_.blocking_plan();
-  }
-  bool blocking_active() const { return driver_.blocking_active(); }
   /// The pool (null when threads == 1) — exposed for placement inspection.
   const ThreadPool* pool() const { return driver_.pool(); }
 

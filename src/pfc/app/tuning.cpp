@@ -17,7 +17,7 @@ namespace {
 constexpr int kTuneBudget = 8;
 /// Measurement geometry: the job's own cells capped per axis, stepped a
 /// handful of times. Small enough that a full search costs seconds, large
-/// enough that the vector/blocking knobs still move the needle.
+/// enough that the vector knobs still move the needle.
 constexpr long long kMeasureCellCap = 48;
 constexpr int kMeasureSteps = 4;
 
@@ -106,16 +106,6 @@ void apply_tune_candidate(const perf::TuneCandidate& c,
   opts.compile.streaming_stores = c.streaming_stores;
   opts.dispatch =
       c.dispatch == "dynamic" ? Dispatch::Dynamic : Dispatch::Static;
-  if (c.blocking == "off") {
-    opts.blocking = BlockingMode::Off;
-    opts.blocking_tile_rows = 0;
-  } else if (c.blocking == "auto") {
-    opts.blocking = BlockingMode::Auto;
-    opts.blocking_tile_rows = 0;
-  } else {
-    opts.blocking = BlockingMode::Fixed;
-    opts.blocking_tile_rows = c.blocking_tile_rows;
-  }
   opts.pin = support::parse_pin_policy(c.pin);
 }
 
@@ -131,13 +121,6 @@ perf::TuneCandidate candidate_from_options(const SimulationOptions& opts) {
   }
   c.streaming_stores = opts.compile.streaming_stores && c.vector_width > 1;
   c.dispatch = opts.dispatch == Dispatch::Dynamic ? "dynamic" : "static";
-  switch (opts.blocking) {
-    case BlockingMode::Off: c.blocking = "off"; break;
-    case BlockingMode::Auto: c.blocking = "auto"; break;
-    case BlockingMode::Fixed: c.blocking = "fixed"; break;
-  }
-  c.blocking_tile_rows =
-      opts.blocking == BlockingMode::Fixed ? opts.blocking_tile_rows : 0;
   c.pin = support::pin_policy_name(opts.pin);
   return c;
 }
@@ -184,7 +167,7 @@ obs::TuningStats autotune_apply(const GrandChemModel& model,
   }
 
   // ECM prior: the per-split kernel sets are lowered once; driver placement
-  // knobs (dispatch/pin/blocking) are invisible to the analytic model, so
+  // knobs (dispatch/pin) are invisible to the analytic model, so
   // candidates differing only there tie and keep enumeration order.
   const std::vector<ir::Kernel> full_kernels =
       lower_model(model, opts.compile, /*split=*/false);

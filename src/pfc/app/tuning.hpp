@@ -24,7 +24,7 @@ std::string tuning_model_hash(const GrandChemModel& model,
                               const SimulationOptions& opts);
 
 /// Writes a candidate's knobs into the options (compile: split/width/
-/// streaming stores; driver: dispatch/blocking/pin).
+/// streaming stores; driver: dispatch/pin).
 void apply_tune_candidate(const perf::TuneCandidate& c,
                           SimulationOptions& opts);
 

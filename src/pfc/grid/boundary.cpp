@@ -1,9 +1,5 @@
 #include "pfc/grid/boundary.hpp"
 
-#include <algorithm>
-
-#include "pfc/support/assert.hpp"
-
 namespace pfc::grid {
 
 namespace {
@@ -31,8 +27,12 @@ Range sweep_range(const Array& a, int axis) {
   return r;
 }
 
-void fill_axis_over(Array& a, int axis, BoundaryKind kind, bool lower,
-                    bool upper, const Range& r) {
+}  // namespace
+
+void fill_ghosts_axis(Array& a, int axis, BoundaryKind kind, bool lower,
+                      bool upper) {
+  if (a.ghost_layers() == 0 || axis >= a.field()->spatial_dims()) return;
+  const Range r = sweep_range(a, axis);
   const int g = a.ghost_layers();
   const std::int64_t n = a.size()[std::size_t(axis)];
 
@@ -59,35 +59,6 @@ void fill_axis_over(Array& a, int axis, BoundaryKind kind, bool lower,
         }
       }
     }
-  }
-}
-
-}  // namespace
-
-void fill_ghosts_axis(Array& a, int axis, BoundaryKind kind, bool lower,
-                      bool upper) {
-  if (a.ghost_layers() == 0 || axis >= a.field()->spatial_dims()) return;
-  fill_axis_over(a, axis, kind, lower, upper, sweep_range(a, axis));
-}
-
-void fill_ghosts_axis_rows(Array& a, int axis, BoundaryKind kind,
-                           int restrict_axis, std::int64_t row_lo,
-                           std::int64_t row_hi) {
-  if (a.ghost_layers() == 0 || axis >= a.field()->spatial_dims()) return;
-  PFC_ASSERT(restrict_axis > axis,
-             "row restriction must be on a later (interior-range) axis");
-  Range r = sweep_range(a, axis);
-  r.lo[restrict_axis] = std::max(r.lo[restrict_axis], row_lo);
-  r.hi[restrict_axis] = std::min(r.hi[restrict_axis], row_hi);
-  if (r.lo[restrict_axis] >= r.hi[restrict_axis]) return;
-  fill_axis_over(a, axis, kind, true, true, r);
-}
-
-void fill_ghosts_transverse_rows(Array& a, BoundaryKind kind, int outer_axis,
-                                 std::int64_t row_lo, std::int64_t row_hi) {
-  for (int axis = 0; axis < outer_axis && axis < a.field()->spatial_dims();
-       ++axis) {
-    fill_ghosts_axis_rows(a, axis, kind, outer_axis, row_lo, row_hi);
   }
 }
 

@@ -65,18 +65,7 @@ Json ThreadingStats::to_json() const {
       .set("cpus", Json(double(cpus)))
       .set("cores", Json(double(cores)))
       .set("packages", Json(double(packages)))
-      .set("numa_nodes", Json(double(numa_nodes)))
-      .set("blocking",
-           Json::object()
-               .set("enabled", Json(blocking_enabled))
-               .set("tile_rows", Json(double(blocking_tile_rows)))
-               .set("lookahead", Json(double(blocking_lookahead)))
-               .set("fused_stages", Json(double(fused_stages)))
-               .set("fused_substeps", Json(double(fused_substeps)))
-               .set("reason", Json(blocking_reason))
-               .set("bytes_per_update_unfused",
-                    Json(bytes_per_update_unfused))
-               .set("bytes_per_update_fused", Json(bytes_per_update_fused)));
+      .set("numa_nodes", Json(double(numa_nodes)));
 }
 
 Json TuningRankEntry::to_json() const {

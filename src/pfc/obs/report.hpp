@@ -34,8 +34,7 @@
 //                       "evictions", "bytes"}.
 //     "threading":      ThreadingStats::to_json() on every run report —
 //                       pool width, pin policy, dispatch mode, first-touch
-//                       placement, the topology the process saw and the
-//                       temporal-blocking decision (DESIGN.md §11).
+//                       placement and the topology the process saw.
 //     "tuning":         TuningStats::to_json() on run reports whose driver
 //                       ran with tune != off (perf/autotune.hpp).
 //
@@ -109,9 +108,9 @@ struct OverlapStats {
 };
 
 /// Execution-resources accounting of one run (the v6 "threading" section):
-/// pool geometry, worker placement policy and the temporal-blocking
-/// decision. Always serialized, so consumers can read how a run used the
-/// node even for single-threaded runs (the all-default shape).
+/// pool geometry and worker placement policy. Always serialized, so
+/// consumers can read how a run used the node even for single-threaded
+/// runs (the all-default shape).
 struct ThreadingStats {
   int threads = 1;
   std::string pin_policy = "none";  ///< "none" | "compact" | "scatter"
@@ -122,16 +121,6 @@ struct ThreadingStats {
   int cores = 0;
   int packages = 0;
   int numa_nodes = 0;
-  /// Temporal-blocking (wavefront) decision.
-  bool blocking_enabled = false;
-  long long blocking_tile_rows = 0;
-  long long blocking_lookahead = 0;
-  int fused_stages = 0;          ///< kernels in the fused chain (0 = unfused)
-  long long fused_substeps = 0;  ///< substeps that actually ran fused
-  std::string blocking_reason;   ///< sizing rationale / why disabled
-  /// Modeled memory traffic per cell update over the chain (bytes).
-  double bytes_per_update_unfused = 0.0;
-  double bytes_per_update_fused = 0.0;
 
   Json to_json() const;
 };

@@ -38,19 +38,17 @@ namespace pfc::perf {
 inline constexpr const char* kTuneCacheSchema = "pfc-tune-v1";
 
 /// One point of the knob space. Driver-level spellings ("static"/"dynamic",
-/// "off"/"auto"/"fixed", pin-policy names) keep this layer free of app
-/// enums and make the JSON form self-describing.
+/// pin-policy names) keep this layer free of app enums and make the JSON
+/// form self-describing.
 struct TuneCandidate {
   bool split = false;            ///< split staggered-flux kernels (φ and µ)
   int vector_width = 1;          ///< emitted SIMD width: 1/2/4/8
   bool streaming_stores = false; ///< non-temporal stores (width > 1 only)
   std::string dispatch = "static";  ///< "static" | "dynamic"
-  std::string blocking = "off";     ///< "off" | "auto" | "fixed"
-  long long blocking_tile_rows = 0; ///< rows for blocking == "fixed"
   std::string pin = "none";         ///< "none" | "compact" | "scatter"
 
   /// Canonical one-line label ("split=1 w=4 nt=0 dispatch=static
-  /// blocking=auto tile=0 pin=none") — the identity two candidates are
+  /// pin=none") — the identity two candidates are
   /// compared by and the spelling reports/caches use.
   std::string label() const;
 
@@ -104,9 +102,8 @@ using PriorFn = std::function<double(const TuneCandidate&)>;
 using MeasureFn = std::function<double(const TuneCandidate&)>;
 
 /// The fixed, deterministic candidate enumeration: split × vector_width
-/// (1..max, powers of two) × streaming_stores (vector widths only) ×
-/// blocking (off/auto/fixed-16) × — when multi_threaded — dispatch and pin
-/// policy. Single-thread enumerations keep dispatch "static" and pin
+/// (1..max, powers of two) × streaming_stores (vector widths only) × —
+/// when multi_threaded — dispatch and pin policy. Single-thread enumerations keep dispatch "static" and pin
 /// "none".
 std::vector<TuneCandidate> enumerate_candidates(const TuneOptions& o);
 

@@ -49,7 +49,9 @@ void fill_model_accuracy(obs::RunReport& rep,
     a.ratio = obs::safe_rate(a.measured_seconds, a.predicted_seconds);
     rep.model_accuracy["kernel/" + name] = a;
   }
-  if (rep.exchange_bytes > 0 || rep.exchange_seconds > 0.0) {
+  // Only bytes that crossed a rank are wire traffic the netmodel predicts;
+  // a one-rank run's local ghost fills are memory copies, not messages.
+  if (rep.exchange_bytes > 0) {
     obs::ModelAccuracy a;
     a.measured_seconds = rep.exchange_seconds;
     // Per step the runtime exchanges both fields over all axes and both

@@ -39,8 +39,8 @@ std::map<std::string, double> predicted_mlups_by_kernel(
 /// measured kernel timers:
 ///   predicted_seconds = launches * cells_per_launch / (MLUP/s * 1e6)
 ///   ratio             = measured / predicted  (safe_rate-guarded)
-/// Kernels without a prediction get predicted == ratio == 0. When the run
-/// exchanged ghost bytes, an "exchange" entry compares the measured
+/// Kernels without a prediction get predicted == ratio == 0. When ghost
+/// bytes crossed a rank, an "exchange" entry compares the measured
 /// exchange time with the network model's latency + bandwidth terms.
 void fill_model_accuracy(obs::RunReport& rep,
                          const std::map<std::string, double>& predicted_mlups,

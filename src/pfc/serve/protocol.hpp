@@ -46,6 +46,7 @@
 //   {"event": "bye"}                                   shutdown ack
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 #include "pfc/app/progress.hpp"
@@ -54,6 +55,11 @@
 namespace pfc::serve {
 
 inline constexpr const char* kProtocolVersion = "pfc-serve-v1";
+
+/// Longest line a LineChannel buffers before giving up on the peer. Far
+/// above any request or result line; a peer that streams more without a
+/// newline gets a ProtocolError instead of unbounded daemon memory.
+inline constexpr std::size_t kMaxLineBytes = std::size_t(16) << 20;
 
 /// Creates a listening Unix-domain stream socket at `path` (unlinking any
 /// stale file first). Throws pfc::Error on failure.
@@ -78,7 +84,8 @@ class LineChannel {
 
   /// Reads until '\n' (stripped). Returns false on clean EOF; throws
   /// TimeoutError when an armed SO_RCVTIMEO deadline elapses (slow-loris
-  /// peer), pfc::Error on other socket errors.
+  /// peer), ProtocolError when the line outgrows kMaxLineBytes, and
+  /// pfc::Error on other socket errors.
   bool read_line(std::string& out);
   /// Reads one line and parses it; returns a Null Json on EOF. A line
   /// that is not JSON throws ProtocolError.

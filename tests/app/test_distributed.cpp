@@ -73,7 +73,15 @@ TEST(DistributedTest, TwoRanksMatchSingleBlock) {
     DistributedSimulation dist(model, o, &comm);
     EXPECT_EQ(dist.num_local_blocks(), 2);
     dist.init(&phi_init, &mu_init);
-    dist.run(8);
+    const obs::RunReport rep = dist.run(8);
+    // ghost bytes crossed a rank, so the netmodel entry appears (no
+    // ASSERT here: every rank must reach the collective gather below)
+    EXPECT_GT(rep.exchange_bytes, 0u);
+    const auto ex = rep.model_accuracy.find("exchange");
+    EXPECT_TRUE(ex != rep.model_accuracy.end());
+    if (ex != rep.model_accuracy.end()) {
+      EXPECT_GT(ex->second.predicted_seconds, 0.0);
+    }
     const auto got = dist.gather_phi();
     ASSERT_EQ(got.size(), ref.size());
     double max_err = 0;
@@ -162,9 +170,10 @@ TEST(DistributedTest, TracedHealthMonitoredMultiBlockRun) {
   for (const auto& [name, t] : rep.kernel_timers) {
     ASSERT_TRUE(rep.model_accuracy.count("kernel/" + name)) << name;
   }
-  // a multi-block step exchanges ghosts, so the netmodel entry appears
-  ASSERT_TRUE(rep.model_accuracy.count("exchange"));
-  EXPECT_GT(rep.model_accuracy.at("exchange").predicted_seconds, 0.0);
+  // a serial run's ghost fills are local copies — no byte crosses a rank,
+  // so there is no wire traffic for the netmodel to predict
+  EXPECT_EQ(rep.exchange_bytes, 0u);
+  EXPECT_EQ(rep.model_accuracy.count("exchange"), 0u);
 
   // per-block kernel spans and exchange spans land in the timeline
   std::set<double> blocks;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "pfc/app/distributed.hpp"
 #include "pfc/app/jobspec.hpp"
@@ -148,11 +150,18 @@ TEST(DriverOptionsJson, DistributedTimeSchemeRoundTrips) {
 
 // A forest block carries its own global offset; the single-block options
 // have no such knob, so the strict decoder refuses it like any unknown key.
+// The same holds for the retired temporal-blocking keys.
 TEST(DriverOptionsJson, BlockOffsetKeyRejected) {
-  Json j = simulation_options_to_json(SimulationOptions{});
-  j.set("block_offset", Json::array().push(Json(8.0)).push(Json(16.0))
-                            .push(Json(0.0)));
-  EXPECT_THROW(simulation_options_from_json(j, "opts"), Error);
+  const std::vector<std::pair<const char*, Json>> retired = {
+      {"block_offset",
+       Json::array().push(Json(8.0)).push(Json(16.0)).push(Json(0.0))},
+      {"blocking", Json("auto")},
+      {"blocking_tile_rows", Json(16.0)}};
+  for (const auto& [key, value] : retired) {
+    Json j = simulation_options_to_json(SimulationOptions{});
+    j.set(key, value);
+    EXPECT_THROW(simulation_options_from_json(j, "opts"), Error) << key;
+  }
 }
 
 TEST(OptionsJson, TypeMismatchNamesThePath) {

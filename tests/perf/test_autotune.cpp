@@ -56,8 +56,6 @@ TuneCandidate rich_candidate() {
   c.vector_width = 4;
   c.streaming_stores = true;
   c.dispatch = "dynamic";
-  c.blocking = "fixed";
-  c.blocking_tile_rows = 16;
   c.pin = "compact";
   return c;
 }
@@ -101,11 +99,6 @@ TEST(TuneSearch, EnumerationIsDeterministicAndPrunesSingleThreadKnobs) {
     if (c.vector_width == 1) {
       EXPECT_FALSE(c.streaming_stores);
     }
-    if (c.blocking == "fixed") {
-      EXPECT_GT(c.blocking_tile_rows, 0);
-    } else {
-      EXPECT_EQ(c.blocking_tile_rows, 0);
-    }
   }
   // The multi-threaded space is a strict superset: dispatch and pin open up.
   TuneOptions mt = o;
@@ -145,7 +138,7 @@ TEST(TuneSearch, BaselineIsMeasuredFirstAndKeepsExactTies) {
 TEST(TuneSearch, StrictlyFasterCandidateReplacesBaseline) {
   TuneOptions o;
   o.budget = 10;
-  o.max_vector_width = 2;
+  o.max_vector_width = 8;  // 14 candidates, so the budget truncates
   o.multi_threaded = false;
   const TuneResult r = tune(
       o, [](const TuneCandidate&) { return 0.0; },
@@ -238,6 +231,26 @@ TEST(TuneCache, CorruptStaleOrMismatchedEntriesMissToFullSearch) {
   EXPECT_FALSE(load_tuned(dir.path, other).has_value());
   ASSERT_TRUE(load_tuned(dir.path, key).has_value());  // original still fine
 
+  // An entry written before the temporal-blocking axis was retired: its
+  // candidate still carries "blocking"/"blocking_tile_rows", which the
+  // strict decoder refuses, so it loads as a miss. The same entry without
+  // those keys loads.
+  const std::string legacy = tune_cache_key("model", "legacy-machine");
+  const auto write_legacy = [&](const char* blocking_keys) {
+    std::ofstream out(tune_cache_path(dir.path, legacy));
+    out << "{\"schema\": \"pfc-tune-v1\", \"key\": \"" << legacy
+        << "\", \"best\": {\"split\": false, \"vector_width\": 8, "
+           "\"streaming_stores\": false, \"dispatch\": \"static\", "
+        << blocking_keys
+        << "\"pin\": \"none\"}, \"best_mlups\": 5.0, "
+           "\"baseline_mlups\": 5.0, \"measured_runs\": 8, "
+           "\"search_seconds\": 1.0}";
+  };
+  write_legacy("\"blocking\": \"off\", \"blocking_tile_rows\": 0, ");
+  EXPECT_FALSE(load_tuned(dir.path, legacy).has_value());
+  write_legacy("");
+  EXPECT_TRUE(load_tuned(dir.path, legacy).has_value());
+
   // A schema from the future (or a foreign tool) is stale too.
   {
     std::string text;
@@ -262,7 +275,7 @@ TEST(AppTuning, CandidateAndOptionsRoundTrip) {
   EXPECT_TRUE(app::candidate_from_options(opts) == c);
   EXPECT_TRUE(opts.compile.split_phi);
   EXPECT_EQ(opts.compile.vector_width, 4);
-  EXPECT_EQ(opts.blocking_tile_rows, 16);
+  EXPECT_EQ(opts.dispatch, app::Dispatch::Dynamic);
 }
 
 TEST(AppTuning, ModelHashExcludesTunedKnobsButSeesTheProblem) {

@@ -33,8 +33,8 @@
 // counters). The section is structurally validated whenever present.
 //
 // With --require-threading the run report must carry the "threading"
-// section (pool width >= 1, pinning/dispatch policy, first-touch flag and
-// the temporal-blocking decision). The section is structurally validated
+// section (pool width >= 1, pinning/dispatch policy and first-touch
+// flag). The section is structurally validated
 // whenever present, flag or not.
 //
 // With --jobspec the argument is a pfc-jobspec-v1 file; it is parsed with
@@ -347,7 +347,7 @@ void check_overlap(const pfc::obs::Json& o, double local_cells) {
 }
 
 /// "threading" section: execution resources of a run — pool width,
-/// placement policy and the temporal-blocking decision.
+/// placement policy and dispatch mode.
 void check_threading(const pfc::obs::Json& t) {
   if (!t.is_object()) {
     fail("threading must be an object");
@@ -376,34 +376,6 @@ void check_threading(const pfc::obs::Json& t) {
   const pfc::obs::Json* ft = t.find("first_touch");
   if (!ft || ft->kind() != pfc::obs::Json::Kind::Bool) {
     fail("threading/first_touch must be a bool");
-  }
-  const pfc::obs::Json* b = t.find("blocking");
-  if (!b || !b->is_object()) {
-    fail("threading/blocking must be an object");
-    return;
-  }
-  const pfc::obs::Json* enabled = b->find("enabled");
-  if (!enabled || enabled->kind() != pfc::obs::Json::Kind::Bool) {
-    fail("threading/blocking/enabled must be a bool");
-  }
-  for (const char* key :
-       {"tile_rows", "lookahead", "fused_stages", "fused_substeps",
-        "bytes_per_update_unfused", "bytes_per_update_fused"}) {
-    const pfc::obs::Json* v = b->find(key);
-    if (!v) {
-      fail(std::string("threading/blocking: missing \"") + key + '"');
-      continue;
-    }
-    check_finite_nonneg(*v, std::string("threading/blocking/") + key);
-  }
-  const pfc::obs::Json* reason = b->find("reason");
-  if (!reason || !reason->is_string()) {
-    fail("threading/blocking/reason must be a string");
-  }
-  // an enabled blocking plan must carry a positive tile
-  if (!g_errors && enabled->boolean() &&
-      b->find("tile_rows")->number() < 1.0) {
-    fail("threading/blocking enabled but tile_rows < 1");
   }
 }
 
@@ -1129,7 +1101,7 @@ int main(int argc, char** argv) {
   }
 
   // Execution resources of a run (pool width, pinning policy, first-touch
-  // placement, temporal-blocking decision). Mandatory on run reports;
+  // placement). Mandatory on run reports;
   // compile/bench reports never carry it.
   const pfc::obs::Json* threading = j.find("threading");
   if (threading != nullptr) {
